@@ -17,7 +17,6 @@
 #include "comm/world.hpp"
 #include "common.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "util/cli.hpp"
 

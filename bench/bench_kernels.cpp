@@ -14,7 +14,7 @@
 #include "par/decomposition.hpp"
 #include "pic/init.hpp"
 #include "pic/mover.hpp"
-#include "pic/simulation.hpp"
+#include "pic/tiling.hpp"
 #include "pic/verify.hpp"
 #include "util/stats.hpp"
 #include "util/timer.hpp"
@@ -154,19 +154,20 @@ void BM_PupPackUnpack(benchmark::State& state) {
 BENCHMARK(BM_PupPackUnpack)->Arg(10000)->Arg(50000);
 
 void BM_SerialStep(benchmark::State& state) {
-  // One full serial simulation step including event checks.
-  pic::SimulationConfig cfg;
-  cfg.init = bench_params(256, 50000);
-  cfg.steps = 1;
-  const pic::Initializer init(cfg.init);
-  auto particles = init.create_all();
+  // One serial step as run_serial takes it: the tiled mover over the
+  // whole domain's SoA store.
+  const auto params = bench_params(256, 50000);
+  const pic::Initializer init(params);
+  pic::ParticleSoA soa = pic::to_soa(init.create_all());
+  pic::TileIndex tiles(pic::CellRegion{0, params.grid.cells, 0, params.grid.cells});
   const pic::AlternatingColumnCharges charges;
   for (auto _ : state) {
-    pic::serial_step(particles, cfg.init.grid, charges, 1.0);
-    benchmark::DoNotOptimize(particles.data());
+    pic::move_all_tiled(soa, tiles, params.grid, charges, 1.0);
+    benchmark::DoNotOptimize(soa.x.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(particles.size()));
+                          static_cast<std::int64_t>(soa.size()));
 }
 BENCHMARK(BM_SerialStep);
 

@@ -11,7 +11,6 @@
 
 #include "comm/world.hpp"
 #include "common.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "par/irregular.hpp"
 #include "util/cli.hpp"

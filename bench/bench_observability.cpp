@@ -14,7 +14,7 @@
 #include "obs/phase.hpp"
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
-#include "par/baseline.hpp"
+#include "par/diffusion.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"

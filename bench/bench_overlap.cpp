@@ -33,7 +33,7 @@
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
 #include "par/async.hpp"
-#include "par/baseline.hpp"
+#include "par/diffusion.hpp"
 #include "par/run_config.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"

@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "bench_json.hpp"
-#include "par/baseline.hpp"
+#include "par/diffusion.hpp"
 #include "par/resilient.hpp"
 #include "util/cli.hpp"
 #include "util/stats.hpp"

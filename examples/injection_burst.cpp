@@ -11,7 +11,6 @@
 
 #include "comm/world.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"

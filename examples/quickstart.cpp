@@ -10,7 +10,7 @@
 #include <iostream>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
+#include "par/diffusion.hpp"
 #include "pic/simulation.hpp"
 #include "util/cli.hpp"
 

@@ -466,14 +466,10 @@ DriverResult AsyncEngine::run() {
           local += vps_[static_cast<std::size_t>(v)]->particles().size();
         }
       }
-      if (config_.obs.active()) {
-        const obs::StepSample sample = sample_step_telemetry(
-            comm_, static_cast<int>(step_), local, compute_seconds);
-        result.step_samples.push_back(sample);
-        result.imbalance_series.push_back(sample.lambda);
-      } else {
-        result.imbalance_series.push_back(sample_imbalance(comm_, local));
-      }
+      const obs::StepSample sample = sample_step_telemetry(
+          comm_, static_cast<int>(step_), local, compute_seconds);
+      if (config_.obs.active()) result.step_samples.push_back(sample);
+      result.imbalance_series.push_back(sample.lambda);
     }
   }
   const double seconds = wall.elapsed();

@@ -138,9 +138,11 @@ void migrate_mesh_axis(comm::Comm& comm, const pic::ChargeSlab& slab,
   }
 }
 
-}  // namespace
-
-DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
+/// The rank-owned step loop behind both `baseline` (lb.every = 0: the
+/// static blocks never move) and `diffusion`. `process` names the trace
+/// process row and the per-rank instruments.
+DriverResult run_rank_loop(comm::Comm& comm, const RunConfig& config,
+                           const char* process) {
   const std::string spec =
       config.lb.strategy.empty() ? "diffusion" : config.lb.strategy;
   const std::unique_ptr<lb::Strategy> strategy = lb::make_strategy(spec);
@@ -175,10 +177,9 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
          checkpoint_seconds = 0.0;
   ExchangeBuffers exchange_buffers;  // steady-state exchange allocates nothing
   MeshMigration mesh_stats;
-  util::Timer wall;
 
   // All registration/allocation happens here, before the step loop.
-  const obs::StepInstruments inst(config.obs, "diffusion", 0,
+  const obs::StepInstruments inst(config.obs, process, 0,
                                   "rank " + std::to_string(comm.rank()), comm.rank(),
                                   static_cast<std::size_t>(config.steps) * 4 + 8);
   exchange_buffers.sent_counter = inst.exchange_sent;
@@ -270,11 +271,15 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
     return true;
   };
 
-  // Localized recovery (docs/RESILIENCE.md): identical ladder rung to
-  // run_baseline, plus the movable decomposition — the restore replays
-  // the checkpointed bounds and rebuilds block/slab before re-entering
-  // the loop, and the LB measurement interval restarts at the restored
-  // step so the cost model never sees a half-replayed interval.
+  // Localized recovery (docs/RESILIENCE.md): on a confirmed rank kill
+  // every rank — the logical victim's thread survives in-process and is
+  // promoted as its own spare — rendezvouses at the coordinator, only
+  // the dead rank restores from its buddy copy and everyone replays at
+  // most one step. The restore replays the checkpointed bounds and
+  // rebuilds block/slab before re-entering the loop, and the LB
+  // measurement interval restarts at the restored step so the cost
+  // model never sees a half-replayed interval. Null coordinator =
+  // classical full-run rollback.
   ft::RecoveryCoordinator* coordinator =
       config.ft.localized() ? config.ft.coordinator : nullptr;
   std::uint32_t localized = 0, replayed = 0;
@@ -293,6 +298,8 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
     exchange_buffers.totals.bytes = snap->bytes;
     mesh_stats.transfers = snap->lb_actions;
     mesh_stats.bytes_sent = snap->lb_bytes;
+    // Samples taken during the replayed fraction are discarded — the
+    // series must read as if the failure never happened.
     if (result.imbalance_series.size() > snap->samples) {
       result.imbalance_series.resize(snap->samples);
     }
@@ -306,9 +313,12 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
     return restore;
   };
 
+  util::Timer wall;
   std::uint32_t step = start_step;
   while (step < config.steps) {
     try {
+    // Snapshot the start-of-step state, then poll scripted step faults;
+    // a kill at a checkpoint step therefore rolls back to that step.
     if (config.ft.checkpointing() && step % config.ft.checkpoint_every == 0) {
       obs::Phase phase(obs::kPhaseCheckpoint, &checkpoint_seconds, inst.lane,
                        inst.checkpoint);
@@ -397,14 +407,10 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
     if (inst.steps != nullptr) inst.steps->add();
 
     if (config.sample_every > 0 && step % config.sample_every == 0) {
-      if (config.obs.active()) {
-        const obs::StepSample sample = sample_step_telemetry(
-            comm, static_cast<int>(step), particles.size(), compute_seconds);
-        result.step_samples.push_back(sample);
-        result.imbalance_series.push_back(sample.lambda);
-      } else {
-        result.imbalance_series.push_back(sample_imbalance(comm, particles.size()));
-      }
+      const obs::StepSample sample = sample_step_telemetry(
+          comm, static_cast<int>(step), particles.size(), compute_seconds);
+      if (config.obs.active()) result.step_samples.push_back(sample);
+      result.imbalance_series.push_back(sample.lambda);
     }
     ++step;
     } catch (const ft::RankKilled& e) {
@@ -418,10 +424,8 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
   }
   const double seconds = wall.elapsed();
 
-  const std::vector<pic::Particle> final_particles = pic::to_aos(particles);
   const pic::VerifyResult local_verify =
-      verify_particles(std::span<const pic::Particle>(final_particles), grid,
-                       config.steps, config.verify_epsilon);
+      verify_particles(particles, grid, config.steps, config.verify_epsilon);
   finalize_result(
       comm, config, local_verify, tracker, particles.size(), seconds,
       PhaseBreakdown{compute_seconds, exchange_seconds, lb_seconds,
@@ -437,6 +441,19 @@ DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
         replayed, [](std::uint32_t a, std::uint32_t b) { return a > b ? a : b; });
   }
   return result;
+}
+
+}  // namespace
+
+DriverResult run_diffusion(comm::Comm& comm, const RunConfig& config) {
+  return run_rank_loop(comm, config, "diffusion");
+}
+
+DriverResult run_baseline(comm::Comm& comm, const DriverConfig& config) {
+  RunConfig static_blocks;
+  static_cast<DriverConfig&>(static_blocks) = config;
+  static_blocks.lb.every = 0;
+  return run_rank_loop(comm, static_blocks, "baseline");
 }
 
 }  // namespace picprk::par

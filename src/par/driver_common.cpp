@@ -70,20 +70,6 @@ pic::VerifyResult merge_verification(comm::Comm& comm, const pic::VerifyResult& 
   return out;
 }
 
-double sample_imbalance(comm::Comm& comm, std::uint64_t local_count) {
-  struct Pair {
-    std::uint64_t max, sum;
-  };
-  const Pair mine{local_count, local_count};
-  const Pair merged = comm.allreduce_value<Pair>(mine, [](Pair a, Pair b) {
-    return Pair{std::max(a.max, b.max), a.sum + b.sum};
-  });
-  if (merged.sum == 0) return 1.0;
-  const double mean =
-      static_cast<double>(merged.sum) / static_cast<double>(comm.size());
-  return static_cast<double>(merged.max) / mean;
-}
-
 obs::StepSample sample_step_telemetry(comm::Comm& comm, int step,
                                       std::uint64_t local_count,
                                       double local_compute_seconds) {

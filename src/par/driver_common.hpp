@@ -27,10 +27,6 @@ struct DriverConfig {
   /// When > 0, sample the global load imbalance (max/mean particles per
   /// rank) every this many steps into DriverResult::imbalance_series.
   std::uint32_t sample_every = 0;
-  /// Hybrid mode: parallelise each rank's move loop with its own OpenMP
-  /// team (the message-passing × threads configuration of the official
-  /// PRK's MPI+OpenMP variants). Results are bit-identical.
-  bool omp_mover = false;
   /// Fault-tolerance hooks: injector, checkpoint cadence, resume flag.
   /// All defaulted = legacy behaviour at the cost of one branch per step.
   ft::FtOptions ft;
@@ -103,9 +99,6 @@ class EventTracker {
   /// Expected global id checksum; collective (one allreduce).
   std::uint64_t finalize(comm::Comm& comm) const;
 
-  /// Serial variant of finalize (no communication).
-  std::uint64_t finalize_serial() const { return base_ - local_removed_sum_; }
-
   /// Checkpoint/restart access to the only mutable tracker state: the
   /// sum of ids this rank has removed so far.
   std::uint64_t removed_sum() const { return local_removed_sum_; }
@@ -121,14 +114,12 @@ class EventTracker {
 /// Merges per-rank verification results into the global one (collective).
 pic::VerifyResult merge_verification(comm::Comm& comm, const pic::VerifyResult& local);
 
-/// Samples the global imbalance ratio max/mean of per-rank loads
-/// (collective; two fused allreduces).
-double sample_imbalance(comm::Comm& comm, std::uint64_t local_count);
-
-/// Full telemetry sample: one fused allreduce over {count max, count
-/// sum, compute-seconds max, compute-seconds sum}, reduced to lambda =
-/// max/mean for both particle counts and measured compute time
-/// (collective; identical result on every rank).
+/// The one imbalance sampler: one fused allreduce over {count max,
+/// count sum, compute-seconds max, compute-seconds sum}, reduced to
+/// lambda = max/mean for both particle counts and measured compute time
+/// (collective; identical result on every rank). Drivers push `.lambda`
+/// into DriverResult::imbalance_series on every sample and keep the
+/// full sample in step_samples only when DriverConfig::obs is active.
 obs::StepSample sample_step_telemetry(comm::Comm& comm, int step,
                                       std::uint64_t local_count,
                                       double local_compute_seconds);

@@ -9,7 +9,6 @@
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
 #include "par/async.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "pic/simulation.hpp"
 #include "util/report.hpp"
@@ -42,7 +41,7 @@ class SerialEngine final : public Engine {
     cfg.steps = config_.steps;
     cfg.events = config_.events;
     cfg.verify_epsilon = config_.verify_epsilon;
-    const pic::SimulationResult r = pic::run_serial(cfg, config_.omp_mover);
+    const pic::SimulationResult r = pic::run_serial(cfg);
 
     RunReport report;
     report.impl = name_;
@@ -55,8 +54,9 @@ class SerialEngine final : public Engine {
   }
 };
 
-/// baseline / diffusion: a threadcomm world per run, optionally wrapped
-/// in the run_resilient recovery loop when any resilience knob is set.
+/// baseline / diffusion (one rank-owned step loop, par/diffusion.hpp): a
+/// threadcomm world per run, optionally wrapped in the run_resilient
+/// recovery loop when any resilience knob is set.
 class WorldEngine final : public Engine {
  public:
   WorldEngine(std::string name, RunConfig config, DriverFn driver)
@@ -222,12 +222,17 @@ std::unique_ptr<Engine> make_engine(RunConfig config) {
   config.resilience.validate();  // loud cross-knob rejection up front
   const std::string impl = config.impl;
   if (impl == "serial") return std::make_unique<SerialEngine>(std::move(config));
-  if (impl == "baseline" || impl == "diffusion") {
-    DriverFn driver = impl == "baseline"
-                          ? DriverFn(&run_baseline)
-                          : DriverFn(&run_diffusion);
-    return std::make_unique<WorldEngine>(impl, std::move(config),
-                                         std::move(driver));
+  if (impl == "baseline") {
+    if (!config.lb.strategy.empty()) {
+      throw std::invalid_argument("--balancer '" + config.lb.strategy +
+                                  "' has no effect with --impl baseline (load "
+                                  "balancing is off); use --impl diffusion");
+    }
+    config.lb.every = 0;
+    return std::make_unique<WorldEngine>(impl, std::move(config), &run_baseline);
+  }
+  if (impl == "diffusion") {
+    return std::make_unique<WorldEngine>(impl, std::move(config), &run_diffusion);
   }
   if (impl == "ampi") return std::make_unique<AmpiEngine>(std::move(config));
   if (impl == "async") return std::make_unique<AsyncEngine>(std::move(config));

@@ -184,7 +184,10 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
     }
 
     if (config.sample_every > 0 && step % config.sample_every == 0) {
-      result.driver.imbalance_series.push_back(sample_imbalance(comm, particles.size()));
+      const obs::StepSample sample = sample_step_telemetry(
+          comm, static_cast<int>(step), particles.size(), compute_timer.total());
+      if (config.obs.active()) result.driver.step_samples.push_back(sample);
+      result.driver.imbalance_series.push_back(sample.lambda);
     }
   }
   const double seconds = wall.elapsed();

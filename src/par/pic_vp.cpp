@@ -163,11 +163,9 @@ std::uint64_t vpr_expected_checksum(const pic::Initializer& init,
 
 void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
                                 VpVerifyTally& tally) {
-  const std::vector<pic::Particle> aos = pic::to_aos(vp.particles());
   tally.verify = pic::merge(
-      tally.verify, pic::verify_particles(std::span<const pic::Particle>(aos),
-                                          config.init.grid, config.steps,
-                                          config.verify_epsilon));
+      tally.verify, pic::verify_particles(vp.particles(), config.init.grid,
+                                          config.steps, config.verify_epsilon));
   tally.removed_id_sum += vp.removed_id_sum();
   tally.sent_particles += vp.sent_particles();
 }

@@ -26,7 +26,8 @@ namespace picprk::par {
 struct LbOptions {
   /// lb registry spec, "name[:key=val,...]". Empty = the driver's
   /// canonical default ("diffusion" for the boundary driver, "greedy"
-  /// for ampi — the paper's §IV-B/§IV-C pairing).
+  /// for ampi — the paper's §IV-B/§IV-C pairing). make_engine rejects a
+  /// non-empty spec for "baseline", which never balances.
   std::string strategy;
   /// Steps between LB invocations — the paper's co-tuned F (0 = never).
   std::uint32_t every = 16;

@@ -13,8 +13,10 @@
 // on x86, so this is the bound that matters). The four corner charges
 // come from a single `corners(cx, cy)` lookup when the charge source
 // supports it (one parity test for the alternating-column pattern, one
-// bounds check for a slab). All movers — serial, OpenMP, SoA — route
-// through the same inlined per-particle kernel, so results are
+// bounds check for a slab). Every mover — the production tiled SoA
+// mover that serial and the rank-owned drivers run, the flat SoA mover
+// (bench_shared_memory's OpenMP leg) and the AoS oracle move_all —
+// routes through the same inlined per-particle kernel, so results are
 // bit-identical across layouts within a build. The pre-optimization
 // kernel is preserved in namespace `reference` for equivalence tests and
 // the old-vs-new micro-benchmark (bench_hotpath).
@@ -126,8 +128,8 @@ PICPRK_HOT inline void advance(Particle& p, const Force& f, const GridSpec& grid
 }
 
 /// The fused per-particle inner kernel on bare scalars: force + advance.
-/// Every mover (AoS, OpenMP, SoA) routes through this one body, so the
-/// layouts stay bit-identical within a build.
+/// Every mover (AoS, flat SoA, tiled SoA) routes through this one body,
+/// so the layouts stay bit-identical within a build.
 template <typename Charges>
 PICPRK_HOT inline void move_scalars(double& x, double& y, double& vx, double& vy, double q,
                          const GridSpec& grid, const Charges& charges, double dt) {
@@ -152,39 +154,21 @@ PICPRK_HOT void move_particle(Particle& p, const GridSpec& grid, const Charges& 
   move_scalars(p.x, p.y, p.vx, p.vy, p.q, grid, charges, dt);
 }
 
-/// Moves a span of AoS wire records. Not a production hot path any
-/// more — the drivers run on the SoA store (move_all_soa /
-/// move_all_tiled) — but kept as the layout-equivalence oracle: it
-/// routes through the same move_scalars kernel, so the SoA movers must
-/// match it bit-for-bit.
+/// Moves a span of AoS wire records. Not a production hot path — serial
+/// and the drivers run the SoA store through move_all_tiled — but kept
+/// as the layout-equivalence oracle: it routes through the same
+/// move_scalars kernel, so the SoA movers must match it bit-for-bit.
 template <typename Charges>
 void move_all(std::span<Particle> particles, const GridSpec& grid,
               const Charges& charges, double dt) {
   for (Particle& p : particles) move_particle(p, grid, charges, dt);
 }
 
-/// AoS mover with an OpenMP-parallel loop: the per-rank thread team of a
-/// hybrid (message-passing × threads) configuration. Static scheduling
-/// is fine here — every particle costs the same, so shared-memory
-/// imbalance cannot arise from a flat particle array (which is exactly
-/// why the PRK's load-balancing problem is a distributed-memory one).
-/// Like move_all, retained as a compatibility/oracle path.
-template <typename Charges>
-void move_all_omp(std::span<Particle> particles, const GridSpec& grid,
-                  const Charges& charges, double dt) {
-  const auto n = static_cast<std::int64_t>(particles.size());
-#if defined(PICPRK_HAVE_OPENMP)
-#pragma omp parallel for schedule(static)
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    move_particle(particles[static_cast<std::size_t>(i)], grid, charges, dt);
-  }
-}
-
-/// Structure-of-arrays mover: the vectorized fast path. Iterations are
-/// independent, so the loop carries an `omp simd` hint (honoured by
-/// -fopenmp or -fopenmp-simd builds; harmless otherwise); with OpenMP
-/// enabled the loop is additionally thread-parallel. The body is the
+/// Flat structure-of-arrays mover: no tile index, so bench_shared_memory
+/// runs it as the flat-OpenMP leg. Iterations are independent, so the
+/// loop carries an `omp simd` hint (honoured by -fopenmp or
+/// -fopenmp-simd builds; harmless otherwise); with OpenMP enabled the
+/// loop is additionally thread-parallel. The body is the
 /// same move_scalars kernel as the AoS movers.
 template <typename Charges>
 PICPRK_HOT void move_all_soa(ParticleSoA& soa, const GridSpec& grid, const Charges& charges, double dt) {

@@ -6,12 +6,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
-#include "pic/charge.hpp"
 #include "pic/events.hpp"
 #include "pic/init.hpp"
-#include "pic/mover.hpp"
 #include "pic/verify.hpp"
 
 namespace picprk::pic {
@@ -33,13 +30,8 @@ struct SimulationResult {
   bool ok() const { return verification.ok(expected_id_checksum); }
 };
 
-/// Runs the serial simulation. When `use_soa` is true the SoA/OpenMP
-/// mover is used (the shared-memory reference); results are identical.
-SimulationResult run_serial(const SimulationConfig& config, bool use_soa = false);
-
-/// One serial time step over a particle vector — exposed so tests can
-/// inspect intermediate states.
-void serial_step(std::vector<Particle>& particles, const GridSpec& grid,
-                 const AlternatingColumnCharges& charges, double dt);
+/// Runs the serial simulation on the production store: SoA + cell tiles
+/// moved by move_all_tiled, bit-identical to the AoS oracle move_all.
+SimulationResult run_serial(const SimulationConfig& config);
 
 }  // namespace picprk::pic

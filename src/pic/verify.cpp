@@ -25,21 +25,37 @@ double periodic_distance(double a, double b, double length) {
   return std::min(d, length - d);
 }
 
+namespace {
+
+void verify_one(const Particle& p, const GridSpec& grid, std::uint32_t final_step,
+                double epsilon, VerifyResult& r) {
+  const double length = grid.length();
+  const ExpectedPosition e = expected_position(p, grid, final_step);
+  const double err = std::max(periodic_distance(p.x, e.x, length),
+                              periodic_distance(p.y, e.y, length));
+  r.max_position_error = std::max(r.max_position_error, err);
+  if (err > epsilon) {
+    r.positions_ok = false;
+    ++r.position_failures;
+  }
+  ++r.checked;
+  r.id_checksum += p.id;
+}
+
+}  // namespace
+
 VerifyResult verify_particles(std::span<const Particle> particles, const GridSpec& grid,
                               std::uint32_t final_step, double epsilon) {
   VerifyResult r;
-  const double length = grid.length();
-  for (const Particle& p : particles) {
-    const ExpectedPosition e = expected_position(p, grid, final_step);
-    const double err = std::max(periodic_distance(p.x, e.x, length),
-                                periodic_distance(p.y, e.y, length));
-    r.max_position_error = std::max(r.max_position_error, err);
-    if (err > epsilon) {
-      r.positions_ok = false;
-      ++r.position_failures;
-    }
-    ++r.checked;
-    r.id_checksum += p.id;
+  for (const Particle& p : particles) verify_one(p, grid, final_step, epsilon, r);
+  return r;
+}
+
+VerifyResult verify_particles(const ParticleSoA& particles, const GridSpec& grid,
+                              std::uint32_t final_step, double epsilon) {
+  VerifyResult r;
+  for (std::size_t i = 0; i < particles.size(); ++i) {
+    verify_one(particles.get(i), grid, final_step, epsilon, r);
   }
   return r;
 }

@@ -50,6 +50,10 @@ double periodic_distance(double a, double b, double length);
 VerifyResult verify_particles(std::span<const Particle> particles, const GridSpec& grid,
                               std::uint32_t final_step, double epsilon = kVerifyEpsilon);
 
+/// Verifies an SoA store row by row, with no AoS copy of the store.
+VerifyResult verify_particles(const ParticleSoA& particles, const GridSpec& grid,
+                              std::uint32_t final_step, double epsilon = kVerifyEpsilon);
+
 /// Merges partial results from disjoint particle sets.
 VerifyResult merge(const VerifyResult& a, const VerifyResult& b);
 

@@ -14,7 +14,6 @@
 #include "ft/fault.hpp"
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "par/resilient.hpp"
 

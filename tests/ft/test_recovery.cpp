@@ -9,7 +9,6 @@
 #include "comm/comm.hpp"
 #include "ft/fault.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "par/resilient.hpp"
 

@@ -7,7 +7,6 @@
 #include "comm/world.hpp"
 #include "lb/bounds.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 
 namespace {

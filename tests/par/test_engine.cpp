@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <stdexcept>
 #include <string>
 
 #include "ft/fault.hpp"
 #include "par/engine.hpp"
+#include "pic/events.hpp"
 #include "pic/init.hpp"
 
 namespace {
@@ -100,6 +102,168 @@ TEST(Engine, ResilientRunCarriesFtTelemetry) {
   EXPECT_TRUE(has_key(line, "rollbacks")) << line;
   EXPECT_TRUE(has_key(line, "retransmits")) << line;
   EXPECT_TRUE(has_key(line, "dup_dropped")) << line;
+}
+
+// ------------------------------------------------------------ golden pin
+// Reference RESULT lines recorded from `picprk --impl baseline|serial`
+// with ` seconds=<v>` removed. `baseline` (the rank-owned step loop with
+// LB off) and `serial` (the tiled SoA store) must reproduce every line
+// byte for byte. The flags, for reference:
+//   --cells 32 --particles 3000 --steps 24 --k 1 --m 1 --ranks 4 --dist D
+//   [--inject-count 600 --inject-step 6 --remove-fraction 0.3 --remove-step 14]
+//   [--checkpoint-every N [--recover local] [--faults F]]
+// with D one of: uniform; geometric --r 0.9; sinusoidal;
+// linear --alpha 1 --beta 3; patch --patch-x0 4 --patch-x1 20
+// --patch-y0 8 --patch-y1 26.
+
+const picprk::pic::Distribution kUniform = picprk::pic::Uniform{};
+const picprk::pic::Distribution kGeometric = picprk::pic::Geometric{0.9};
+const picprk::pic::Distribution kSinusoidal = picprk::pic::Sinusoidal{};
+const picprk::pic::Distribution kLinear = picprk::pic::Linear{1.0, 3.0};
+const picprk::pic::Distribution kPatch =
+    picprk::pic::Patch{picprk::pic::CellRegion{4, 20, 8, 26}};
+
+struct GoldenRun {
+  const char* impl;
+  picprk::pic::Distribution dist;
+  bool events;
+  std::uint32_t checkpoint_every;
+  bool local_recovery;
+  const char* faults;
+  const char* result;
+};
+
+const GoldenRun kGolden[] = {
+    {"baseline", kUniform, false, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2994 checksum=4483515 "
+     "expected=4483515 exchanged=17122 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kUniform, true, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2497 checksum=4524404 "
+     "expected=4524404 exchanged=17106 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kGeometric, false, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2980 checksum=4441690 "
+     "expected=4441690 exchanged=16485 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kGeometric, true, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2490 checksum=4499236 "
+     "expected=4499236 exchanged=16492 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kSinusoidal, false, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2964 checksum=4394130 "
+     "expected=4394130 exchanged=16962 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kSinusoidal, true, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2479 checksum=4459853 "
+     "expected=4459853 exchanged=16948 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kLinear, false, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2975 checksum=4426800 "
+     "expected=4426800 exchanged=16962 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kLinear, true, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2487 checksum=4488478 "
+     "expected=4488478 exchanged=16956 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kPatch, false, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2998 checksum=4495501 "
+     "expected=4495501 exchanged=17266 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"baseline", kPatch, true, 0, false, "",
+     "RESULT impl=baseline status=pass particles=2499 checksum=4531611 "
+     "expected=4531611 exchanged=17215 checkpoints=0 checkpoint_bytes=0 recoveries=0 "
+     "localized=0 replayed=0"},
+    {"serial", kUniform, false, 0, false, "",
+     "RESULT impl=serial status=pass particles=2994"},
+    {"serial", kUniform, true, 0, false, "",
+     "RESULT impl=serial status=pass particles=2497"},
+    {"serial", kGeometric, false, 0, false, "",
+     "RESULT impl=serial status=pass particles=2980"},
+    {"serial", kGeometric, true, 0, false, "",
+     "RESULT impl=serial status=pass particles=2490"},
+    {"serial", kSinusoidal, false, 0, false, "",
+     "RESULT impl=serial status=pass particles=2964"},
+    {"serial", kSinusoidal, true, 0, false, "",
+     "RESULT impl=serial status=pass particles=2479"},
+    {"serial", kLinear, false, 0, false, "",
+     "RESULT impl=serial status=pass particles=2975"},
+    {"serial", kLinear, true, 0, false, "",
+     "RESULT impl=serial status=pass particles=2487"},
+    {"serial", kPatch, false, 0, false, "",
+     "RESULT impl=serial status=pass particles=2998"},
+    {"serial", kPatch, true, 0, false, "",
+     "RESULT impl=serial status=pass particles=2499"},
+    {"baseline", kGeometric, false, 5, false, "",
+     "RESULT impl=baseline status=pass particles=2980 checksum=4441690 "
+     "expected=4441690 exchanged=16485 checkpoints=5 checkpoint_bytes=2387040 "
+     "recoveries=0 localized=0 replayed=0 rollbacks=0 retransmits=0 dup_dropped=0"},
+    {"baseline", kSinusoidal, true, 6, false, "kill:rank=2,step=15",
+     "RESULT impl=baseline status=pass particles=2479 checksum=4459853 "
+     "expected=4459853 exchanged=16948 checkpoints=2 checkpoint_bytes=969376 "
+     "recoveries=1 localized=0 replayed=0 rollbacks=1 retransmits=0 dup_dropped=0"},
+    {"baseline", kGeometric, true, 3, true, "",
+     "RESULT impl=baseline status=pass particles=2490 checksum=4499236 "
+     "expected=4499236 exchanged=16492 checkpoints=24 checkpoint_bytes=11530432 "
+     "recoveries=0 localized=0 replayed=0 rollbacks=0 retransmits=0 dup_dropped=0"},
+};
+
+RunConfig golden_config(const GoldenRun& run) {
+  RunConfig cfg;
+  cfg.impl = run.impl;
+  cfg.init.grid = picprk::pic::GridSpec(32, 1.0);
+  cfg.init.total_particles = 3000;
+  cfg.init.k = 1;
+  cfg.init.m = 1;
+  cfg.init.distribution = run.dist;
+  cfg.steps = 24;
+  cfg.ranks = 4;
+  if (run.events) {
+    cfg.events = picprk::pic::EventSchedule(
+        {picprk::pic::InjectionEvent{6, picprk::pic::CellRegion{0, 16, 0, 16}, 600}},
+        {picprk::pic::RemovalEvent{14, picprk::pic::CellRegion{0, 32, 0, 32}, 0.3}});
+  }
+  cfg.resilience.plan = picprk::ft::FaultPlan::parse(run.faults, 1);
+  cfg.resilience.checkpoint_every = run.checkpoint_every;
+  if (run.local_recovery) cfg.resilience.recovery = picprk::par::RecoveryMode::kLocal;
+  return cfg;
+}
+
+std::string without_seconds(std::string line) {
+  const std::size_t at = line.find(" seconds=");
+  if (at == std::string::npos) return line;
+  return line.erase(at, line.find(' ', at + 1) - at);
+}
+
+std::uint64_t key_value(const std::string& line, const std::string& key) {
+  const std::size_t at = line.find(' ' + key + '=');
+  EXPECT_NE(at, std::string::npos) << key << " in " << line;
+  return std::stoull(line.substr(at + key.size() + 2));
+}
+
+TEST(Engine, GoldenResultLinesForBaselineAndSerial) {
+  for (const GoldenRun& run : kGolden) {
+    const std::string expected = run.result;
+    SCOPED_TRACE(expected);
+    const RunReport report = make_engine(golden_config(run))->run();
+    const std::string got = without_seconds(report.result_line());
+    if (run.checkpoint_every == 0) {
+      EXPECT_EQ(got, expected);
+      continue;
+    }
+    // The recorded checkpoint_bytes exclude the decomposition bounds that
+    // every baseline snapshot packs: 3 + 3 int64 on the 2x2 cart, counted
+    // once packed and once shipped, per rank per checkpoint round.
+    const std::uint64_t bounds_bytes = (3 + 3) * sizeof(std::int64_t);
+    const std::uint64_t checkpoints = key_value(expected, "checkpoints");
+    const std::uint64_t old_bytes = key_value(expected, "checkpoint_bytes");
+    const std::uint64_t new_bytes = old_bytes + checkpoints * 4 * 2 * bounds_bytes;
+    std::string rebased = expected;
+    const std::string old_kv = "checkpoint_bytes=" + std::to_string(old_bytes);
+    rebased.replace(rebased.find(old_kv), old_kv.size(),
+                    "checkpoint_bytes=" + std::to_string(new_bytes));
+    EXPECT_EQ(got, rebased);
+  }
 }
 
 }  // namespace

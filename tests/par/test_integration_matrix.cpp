@@ -11,7 +11,6 @@
 
 #include "comm/world.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "pic/simulation.hpp"
 #include "ws/binned.hpp"

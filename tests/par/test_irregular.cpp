@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "par/irregular.hpp"
 

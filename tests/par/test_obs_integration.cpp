@@ -15,8 +15,8 @@
 #include "obs/registry.hpp"
 #include "obs/sinks.hpp"
 #include "par/ampi.hpp"
-#include "par/baseline.hpp"
 #include "par/decomposition.hpp"
+#include "par/diffusion.hpp"
 #include "par/driver_common.hpp"
 #include "pic/init.hpp"
 

@@ -8,7 +8,6 @@
 
 #include "comm/world.hpp"
 #include "lb/bounds.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "perfsim/engine.hpp"
 

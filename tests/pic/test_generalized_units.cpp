@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
+#include "par/diffusion.hpp"
+#include "pic/charge.hpp"
+#include "pic/mover.hpp"
 #include "pic/simulation.hpp"
 
 namespace {

@@ -164,29 +164,6 @@ TEST(MoveAll, MatchesPerParticleMoves) {
   }
 }
 
-TEST(MoveAllSoA, MatchesAoSMover) {
-  GridSpec grid(12, 1.0);
-  AlternatingColumnCharges charges;
-  std::vector<Particle> aos;
-  for (std::int64_t cx = 0; cx < 12; ++cx) {
-    aos.push_back(canonical_particle(grid, cx, cx % 12, static_cast<int>(cx % 3),
-                                     static_cast<int>(cx % 5) - 2));
-  }
-  auto soa = picprk::pic::to_soa(aos);
-  for (int step = 0; step < 4; ++step) {
-    picprk::pic::move_all(std::span<Particle>(aos), grid, charges, 1.0);
-    picprk::pic::move_all_soa(soa, grid, charges, 1.0);
-  }
-  const auto back = picprk::pic::to_aos(soa);
-  ASSERT_EQ(back.size(), aos.size());
-  for (std::size_t i = 0; i < aos.size(); ++i) {
-    EXPECT_DOUBLE_EQ(back[i].x, aos[i].x) << i;
-    EXPECT_DOUBLE_EQ(back[i].y, aos[i].y) << i;
-    EXPECT_DOUBLE_EQ(back[i].vx, aos[i].vx) << i;
-    EXPECT_DOUBLE_EQ(back[i].vy, aos[i].vy) << i;
-  }
-}
-
 TEST(MoveParticle, SlabChargesMatchAnalytic) {
   GridSpec grid(10, 1.0);
   AlternatingColumnCharges pattern;

@@ -130,6 +130,24 @@ void expect_bit_identical_by_id(std::vector<Particle> expected,
   }
 }
 
+/// The flat SoA mover (bench_shared_memory's OpenMP leg) runs the same
+/// kernel in store order, so it too must match move_all bit-for-bit.
+TEST(MoveAllSoA, MatchesAoSMover) {
+  const AlternatingColumnCharges charges;
+  for (const auto& dist : all_distributions()) {
+    const InitParams params = base_params(dist);
+    const Initializer init(params);
+    auto aos = init.create_all();
+    auto soa = pic::to_soa(aos);
+    for (std::uint32_t s = 0; s < kSteps; ++s) {
+      pic::move_all(std::span<Particle>(aos), params.grid, charges, params.dt);
+      pic::move_all_soa(soa, params.grid, charges, params.dt);
+    }
+    expect_bit_identical_by_id(aos, pic::to_aos(soa),
+                               pic::distribution_name(dist) + "/flat SoA");
+  }
+}
+
 TEST(MoverEquivalence, TiledMoverIsBitIdenticalToScalarOnAllDistributions) {
   const AlternatingColumnCharges charges;
   for (const auto& dist : all_distributions()) {

@@ -8,6 +8,8 @@
 #include <cmath>
 #include <tuple>
 
+#include "pic/charge.hpp"
+#include "pic/mover.hpp"
 #include "pic/simulation.hpp"
 
 namespace {

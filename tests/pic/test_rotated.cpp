@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "comm/world.hpp"
-#include "par/baseline.hpp"
 #include "par/diffusion.hpp"
 #include "perfsim/workload.hpp"
 #include "pic/simulation.hpp"

@@ -95,6 +95,13 @@ TEST(VerifyParticles, DetectsSingleForceMiscalculation) {
       verify_particles(std::span<const Particle>(particles), grid, 10);
   EXPECT_FALSE(result.positions_ok);
   EXPECT_GE(result.position_failures, 1u);
+
+  // The SoA store is verified row by row to the same result.
+  const auto from_store = verify_particles(picprk::pic::to_soa(particles), grid, 10);
+  EXPECT_EQ(from_store.checked, result.checked);
+  EXPECT_EQ(from_store.position_failures, result.position_failures);
+  EXPECT_EQ(from_store.max_position_error, result.max_position_error);
+  EXPECT_EQ(from_store.id_checksum, result.id_checksum);
 }
 
 TEST(VerifyParticles, ChecksumDetectsLostParticle) {
