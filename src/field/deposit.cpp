@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/assert.hpp"
-
 namespace picprk::field {
 
 CicWeights cic_weights(double x, double y, const pic::GridSpec& grid) {
@@ -31,60 +29,6 @@ void deposit_cic(std::span<const pic::Particle> particles, const pic::GridSpec& 
     rho.at(w.i + 1, w.j) += q * w.w_br;
     rho.at(w.i, w.j + 1) += q * w.w_tl;
     rho.at(w.i + 1, w.j + 1) += q * w.w_tr;
-  }
-}
-
-namespace {
-
-struct TileSums {
-  double bl = 0, br = 0, tl = 0, tr = 0;
-};
-
-/// Accumulates one tile's weighted charge into four sums. The weights
-/// match cic_weights exactly: gx = x/h and fx = gx − cx is the same
-/// arithmetic as gx − floor(gx), because every row of a fresh tile has
-/// floor(x/h) == cx. Restrict parameters keep the loop dependence-free.
-TileSums accumulate_tile(const double* __restrict x, const double* __restrict y,
-                         const double* __restrict q, std::size_t n, double cx, double cy,
-                         double h) {
-  TileSums s;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double fx = x[i] / h - cx;
-    const double fy = y[i] / h - cy;
-    s.bl += q[i] * ((1.0 - fx) * (1.0 - fy));
-    s.br += q[i] * (fx * (1.0 - fy));
-    s.tl += q[i] * ((1.0 - fx) * fy);
-    s.tr += q[i] * (fx * fy);
-  }
-  return s;
-}
-
-}  // namespace
-
-void deposit_cic(const pic::ParticleSoA& soa, const pic::TileIndex& tiles,
-                 const pic::GridSpec& grid, ScalarField& rho) {
-  PICPRK_EXPECTS(tiles.fresh());
-  const double inv_cell_area = 1.0 / (grid.h * grid.h);
-  const double* const x = soa.x.data();
-  const double* const y = soa.y.data();
-  const double* const q = soa.q.data();
-  for (const pic::TileIndex::Tile& t : tiles.tiles()) {
-    const TileSums s = accumulate_tile(x + t.begin, y + t.begin, q + t.begin,
-                                       t.end - t.begin, static_cast<double>(t.cx),
-                                       static_cast<double>(t.cy), grid.h);
-    rho.at(t.cx, t.cy) += s.bl * inv_cell_area;
-    rho.at(t.cx + 1, t.cy) += s.br * inv_cell_area;
-    rho.at(t.cx, t.cy + 1) += s.tl * inv_cell_area;
-    rho.at(t.cx + 1, t.cy + 1) += s.tr * inv_cell_area;
-  }
-  // Index tail (appended/out-of-region rows): scalar per-particle path.
-  for (std::size_t i = tiles.tail_begin(); i < soa.size(); ++i) {
-    const CicWeights w = cic_weights(soa.x[i], soa.y[i], grid);
-    const double qi = soa.q[i] * inv_cell_area;
-    rho.at(w.i, w.j) += qi * w.w_bl;
-    rho.at(w.i + 1, w.j) += qi * w.w_br;
-    rho.at(w.i, w.j + 1) += qi * w.w_tl;
-    rho.at(w.i + 1, w.j + 1) += qi * w.w_tr;
   }
 }
 

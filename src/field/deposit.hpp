@@ -10,7 +10,6 @@
 
 #include "field/grid_field.hpp"
 #include "pic/particle.hpp"
-#include "pic/tiling.hpp"
 
 namespace picprk::field {
 
@@ -29,18 +28,5 @@ CicWeights cic_weights(double x, double y, const pic::GridSpec& grid);
 /// ∑ρ·h² equals the total charge exactly.
 void deposit_cic(std::span<const pic::Particle> particles, const pic::GridSpec& grid,
                  ScalarField& rho);
-
-/// Tiled SoA deposition. All particles of a tile share one cell, so the
-/// four target mesh points are loop invariants: contributions accumulate
-/// into four register sums and touch the field once per tile — a
-/// per-tile broadcast instead of a per-particle 4-point scatter (no
-/// bounds-checked field access in the inner loop). Per-particle weights
-/// are computed exactly as cic_weights does, but mesh points receive
-/// their four per-tile partial sums in tile order, so totals can differ
-/// from the AoS path in the last ulps (the field integral contract
-/// holds either way). Requires a fresh index; rows in the index tail go
-/// through the scalar path.
-void deposit_cic(const pic::ParticleSoA& soa, const pic::TileIndex& tiles,
-                 const pic::GridSpec& grid, ScalarField& rho);
 
 }  // namespace picprk::field

@@ -1,26 +1,25 @@
 #include "field/dist_pic.hpp"
 
-#include "par/exchange.hpp"
 #include "pic/geometry.hpp"
 
 namespace picprk::field {
 
 DistributedMiniPic::DistributedMiniPic(comm::Comm& comm, MiniPicConfig config,
-                                       std::vector<pic::Particle> particles)
+                                       const std::vector<pic::Particle>& particles)
     : comm_(comm), config_(config), cart_(comm.size()),
-      decomp_(config_.grid, cart_), particles_(std::move(particles)),
+      decomp_(config_.grid, cart_), particles_(pic::to_soa(particles)),
       rho_(config_.grid, decomp_, comm.rank()), phi_(config_.grid, decomp_, comm.rank()),
       ex_(config_.grid, decomp_, comm.rank()), ey_(config_.grid, decomp_, comm.rank()) {
   // Route the initial particles to their owners.
-  const auto stats = par::exchange_particles(comm_, decomp_, particles_);
+  const auto stats =
+      par::exchange_particles(comm_, decomp_, particles_, nullptr, exchange_buffers_);
   particles_exchanged_ += stats.sent;
   recompute_fields();
 }
 
 void DistributedMiniPic::recompute_fields() {
   rho_.fill(0.0);
-  deposit_cic_distributed(comm_, std::span<const pic::Particle>(particles_), config_.grid,
-                          rho_);
+  deposit_cic_distributed(comm_, particles_, config_.grid, rho_);
   last_solve_ = solve_poisson_distributed(comm_, rho_, phi_, config_.grid, config_.cg_rtol);
   gradient_distributed(comm_, phi_, ex_, ey_, config_.grid.h);
   // Fresh E halos for the next gather (particles read points up to one
@@ -34,14 +33,16 @@ MiniPicDiagnostics DistributedMiniPic::step() {
   const double inv_m = 1.0 / config_.mass;
   const double length = config_.grid.length();
 
-  for (pic::Particle& p : particles_) {
-    const FieldSample s = interpolate_distributed(ex_, ey_, p.x, p.y, config_.grid);
-    p.vx += p.q * s.ex * inv_m * dt;
-    p.vy += p.q * s.ey * inv_m * dt;
-    p.x = pic::wrap(p.x + p.vx * dt, length);
-    p.y = pic::wrap(p.y + p.vy * dt, length);
+  pic::ParticleSoA& p = particles_;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    const FieldSample s = interpolate_distributed(ex_, ey_, p.x[i], p.y[i], config_.grid);
+    p.vx[i] += p.q[i] * s.ex * inv_m * dt;
+    p.vy[i] += p.q[i] * s.ey * inv_m * dt;
+    p.x[i] = pic::wrap(p.x[i] + p.vx[i] * dt, length);
+    p.y[i] = pic::wrap(p.y[i] + p.vy[i] * dt, length);
   }
-  const auto stats = par::exchange_particles(comm_, decomp_, particles_);
+  const auto stats =
+      par::exchange_particles(comm_, decomp_, particles_, nullptr, exchange_buffers_);
   particles_exchanged_ += stats.sent;
 
   recompute_fields();
@@ -59,11 +60,12 @@ MiniPicDiagnostics DistributedMiniPic::diagnostics() {
     double charge, px, py, kinetic, field;
   };
   Packed mine{0, 0, 0, 0, 0};
-  for (const pic::Particle& p : particles_) {
-    mine.charge += p.q;
-    mine.px += config_.mass * p.vx;
-    mine.py += config_.mass * p.vy;
-    mine.kinetic += 0.5 * config_.mass * (p.vx * p.vx + p.vy * p.vy);
+  const pic::ParticleSoA& p = particles_;
+  for (std::size_t i = 0; i < p.size(); ++i) {
+    mine.charge += p.q[i];
+    mine.px += config_.mass * p.vx[i];
+    mine.py += config_.mass * p.vy[i];
+    mine.kinetic += 0.5 * config_.mass * (p.vx[i] * p.vx[i] + p.vy[i] * p.vy[i]);
   }
   const double cell_area = config_.grid.h * config_.grid.h;
   for (std::int64_t lj = 0; lj < ex_.height(); ++lj) {

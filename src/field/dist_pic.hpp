@@ -12,6 +12,7 @@
 #include "field/dist_solver.hpp"
 #include "field/mini_pic.hpp"
 #include "par/decomposition.hpp"
+#include "par/exchange.hpp"
 
 namespace picprk::field {
 
@@ -21,7 +22,7 @@ class DistributedMiniPic {
   /// population on each rank (commonly: the full set on rank 0, empty
   /// elsewhere, or pre-partitioned); they are routed to their owners.
   DistributedMiniPic(comm::Comm& comm, MiniPicConfig config,
-                     std::vector<pic::Particle> particles);
+                     const std::vector<pic::Particle>& particles);
 
   /// One cycle: gather+push, particle exchange, deposit, solve, E.
   /// Collective; returns global diagnostics.
@@ -30,7 +31,7 @@ class DistributedMiniPic {
   MiniPicDiagnostics run(std::uint32_t steps);
 
   /// This rank's particles (all inside its block).
-  const std::vector<pic::Particle>& particles() const { return particles_; }
+  const pic::ParticleSoA& particles() const { return particles_; }
 
   /// Global diagnostics (collective).
   MiniPicDiagnostics diagnostics();
@@ -48,7 +49,8 @@ class DistributedMiniPic {
   MiniPicConfig config_;
   comm::Cart2D cart_;
   par::Decomposition2D decomp_;
-  std::vector<pic::Particle> particles_;
+  pic::ParticleSoA particles_;
+  par::ExchangeBuffers exchange_buffers_;
   DistributedField rho_;
   DistributedField phi_;
   DistributedField ex_;

@@ -99,12 +99,12 @@ void gradient_distributed(comm::Comm& comm, DistributedField& phi, DistributedFi
   }
 }
 
-void deposit_cic_distributed(comm::Comm& comm, std::span<const pic::Particle> particles,
+void deposit_cic_distributed(comm::Comm& comm, const pic::ParticleSoA& particles,
                              const pic::GridSpec& grid, DistributedField& rho) {
   const double inv_cell_area = 1.0 / (grid.h * grid.h);
-  for (const pic::Particle& p : particles) {
-    const CicWeights w = cic_weights(p.x, p.y, grid);
-    const double q = p.q * inv_cell_area;
+  for (std::size_t i = 0; i < particles.size(); ++i) {
+    const CicWeights w = cic_weights(particles.x[i], particles.y[i], grid);
+    const double q = particles.q[i] * inv_cell_area;
     rho.at(w.i, w.j) += q * w.w_bl;
     rho.at(w.i + 1, w.j) += q * w.w_br;
     rho.at(w.i, w.j + 1) += q * w.w_tl;

@@ -40,7 +40,7 @@ void gradient_distributed(comm::Comm& comm, DistributedField& phi, DistributedFi
 
 /// CIC deposition of this rank's particles followed by halo folding
 /// (collective). rho must be zero-filled first.
-void deposit_cic_distributed(comm::Comm& comm, std::span<const pic::Particle> particles,
+void deposit_cic_distributed(comm::Comm& comm, const pic::ParticleSoA& particles,
                              const pic::GridSpec& grid, DistributedField& rho);
 
 /// Bilinear E at a position owned by this rank (halos must be fresh).

@@ -162,7 +162,7 @@ DriverResult run_ampi(const RunConfig& config) {
   const std::uint64_t sent = tally.sent_particles;
 
   const std::uint64_t expected =
-      vpr_expected_checksum(shared->init, config.events, tally.removed_id_sum);
+      shared->events.expected_checksum(shared->init, tally.removed_id_sum);
 
   const vpr::RuntimeStats& stats = runtime.stats();
   result.verification = verify;

@@ -486,7 +486,7 @@ DriverResult AsyncEngine::run() {
   const std::uint64_t removed_total =
       comm_.allreduce_value(tally.removed_id_sum, std::plus<>{});
   result.expected_id_checksum =
-      vpr_expected_checksum(shared_->init, config_.events, removed_total);
+      shared_->events.expected_checksum(shared_->init, removed_total);
   result.ok = result.verification.ok(result.expected_id_checksum);
 
   struct Scalars {

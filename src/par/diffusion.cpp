@@ -340,7 +340,7 @@ DriverResult run_rank_loop(comm::Comm& comm, const RunConfig& config,
       config.ft.injector->begin_step(comm.world_rank(), step, &comm.abort_flag());
     }
 
-    if (!config.events.empty()) tracker.apply(step, block, particles, &tiles);
+    tracker.apply(step, block, particles, &tiles);
 
     {
       obs::Phase phase(obs::kPhaseCompute, &compute_seconds, inst.lane, inst.compute);

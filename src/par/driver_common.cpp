@@ -6,47 +6,10 @@
 
 namespace picprk::par {
 
-EventTracker::EventTracker(const pic::Initializer& init, const pic::EventSchedule& events)
-    : init_(init), events_(events) {
-  base_ = pic::expected_checksum(init.total());
-  for (std::size_t e = 0; e < events_.injections().size(); ++e) {
-    const std::uint64_t first = events_.injection_first_id(init_, e);
-    const std::uint64_t count = events_.injection_total(init_, e);
-    if (count > 0) base_ += count * first + count * (count - 1) / 2;
-  }
-}
-
-void EventTracker::apply(std::uint32_t step, const pic::CellRegion& block,
-                         std::vector<pic::Particle>& particles) {
-  const pic::GridSpec& grid = init_.params().grid;
-  // Record the ids the removal events will take out of this rank's set.
-  for (std::size_t e = 0; e < events_.removals().size(); ++e) {
-    if (events_.removals()[e].step != step) continue;
-    const pic::CellRegion& region = events_.removals()[e].region;
-    for (const pic::Particle& p : particles) {
-      const auto cx = grid.cell_of(p.x);
-      const auto cy = grid.cell_of(p.y);
-      if (region.contains_cell(cx, cy) && events_.removes(init_, e, p.id)) {
-        local_removed_sum_ += p.id;
-      }
-    }
-  }
-  events_.apply_step(init_, step, block.x0, block.x1, block.y0, block.y1, particles);
-}
-
-void EventTracker::apply(std::uint32_t step, const pic::CellRegion& block,
-                         pic::ParticleSoA& particles, pic::TileIndex* tiles) {
-  if (!events_.scheduled_at(step)) return;
-  std::vector<pic::Particle> staging = pic::to_aos(particles);
-  apply(step, block, staging);
-  particles.assign(staging);
-  if (tiles != nullptr) tiles->mark_dirty();
-}
-
 std::uint64_t EventTracker::finalize(comm::Comm& comm) const {
   const std::uint64_t removed = comm.allreduce_value<std::uint64_t>(
       local_removed_sum_, [](std::uint64_t a, std::uint64_t b) { return a + b; });
-  return base_ - removed;
+  return events_.expected_checksum(init_, removed);
 }
 
 pic::VerifyResult merge_verification(comm::Comm& comm, const pic::VerifyResult& local) {

@@ -77,24 +77,21 @@ struct DriverResult {
   std::vector<obs::StepSample> step_samples;
 };
 
-/// Tracks the expected id checksum through injections and removals.
-/// Injected id ranges are globally computable; removed ids are summed
-/// locally and reduced at the end.
+/// A rank's share of the event ledger (pic::EventSchedule owns it): the
+/// sum of the ids this rank's event applications removed, reduced at the
+/// end into the expected global checksum.
 class EventTracker {
  public:
-  EventTracker(const pic::Initializer& init, const pic::EventSchedule& events);
+  EventTracker(const pic::Initializer& init, const pic::EventSchedule& events)
+      : init_(init), events_(events) {}
 
-  /// Applies the events scheduled for `step` to this rank's particles
-  /// (restricted to its block) and records removed ids.
+  /// Applies the events scheduled for `step` to this rank's store
+  /// (injections restricted to its block) and records the removed ids.
+  /// `tiles` may be null.
   void apply(std::uint32_t step, const pic::CellRegion& block,
-             std::vector<pic::Particle>& particles);
-
-  /// SoA-store variant: events are rare, so they run on an AoS staging
-  /// copy and the store is rebuilt from it — only on steps where
-  /// something is actually scheduled (free otherwise). Invalidates a
-  /// maintained tile index (population and order change); may be null.
-  void apply(std::uint32_t step, const pic::CellRegion& block,
-             pic::ParticleSoA& particles, pic::TileIndex* tiles);
+             pic::ParticleSoA& particles, pic::TileIndex* tiles) {
+    local_removed_sum_ += events_.apply_step(init_, step, block, particles, tiles);
+  }
 
   /// Expected global id checksum; collective (one allreduce).
   std::uint64_t finalize(comm::Comm& comm) const;
@@ -107,7 +104,6 @@ class EventTracker {
  private:
   const pic::Initializer& init_;
   const pic::EventSchedule& events_;
-  std::uint64_t base_ = 0;
   std::uint64_t local_removed_sum_ = 0;
 };
 

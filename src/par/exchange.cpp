@@ -5,33 +5,6 @@
 namespace picprk::par {
 
 ExchangeStats exchange_particles(comm::Comm& comm, const Decomposition2D& decomp,
-                                 std::vector<pic::Particle>& mine,
-                                 ExchangeBuffers& buffers) {
-  ExchangeStats stats = exchange_particles_by(
-      comm, [&decomp](double x, double y) { return decomp.owner_of_position(x, y); }, mine,
-      buffers);
-
-#if defined(PICPRK_EXPENSIVE_CHECKS)
-  // Post-condition: everything we now hold is ours. O(n) per step, so
-  // only compiled into PICPRK_EXPENSIVE_CHECKS builds.
-  const pic::CellRegion block = decomp.block_of(comm.rank());
-  for (const pic::Particle& particle : mine) {
-    const auto cx = decomp.grid().cell_of(particle.x);
-    const auto cy = decomp.grid().cell_of(particle.y);
-    PICPRK_ASSERT_MSG(block.contains_cell(cx, cy),
-                      "exchange delivered a particle to the wrong rank");
-  }
-#endif
-  return stats;
-}
-
-ExchangeStats exchange_particles(comm::Comm& comm, const Decomposition2D& decomp,
-                                 std::vector<pic::Particle>& mine) {
-  ExchangeBuffers buffers;
-  return exchange_particles(comm, decomp, mine, buffers);
-}
-
-ExchangeStats exchange_particles(comm::Comm& comm, const Decomposition2D& decomp,
                                  pic::ParticleSoA& mine, pic::TileIndex* tiles,
                                  ExchangeBuffers& buffers) {
   ExchangeStats stats = exchange_particles_by(

@@ -10,6 +10,9 @@
 // buffer grouped by destination rank and shipped with the flat-buffer
 // `Comm::alltoallv` (counts + one packed payload per non-empty peer,
 // buffers moved into the mailbox, byte buffers recycled through a pool).
+// The routing half (route_particles) is the one copy of that logic: the
+// VP step (PicVp) runs it over VP ids and ships each destination group
+// as one message instead of the alltoallv.
 // All scratch lives in a caller-owned ExchangeBuffers workspace, so
 // steady-state exchange performs no heap allocation —
 // `ExchangeBuffers::allocations()` is the test hook that proves it.
@@ -46,9 +49,10 @@ struct ExchangeTotals {
   std::uint64_t bytes = 0;
 };
 
-/// Reusable per-rank exchange workspace. Owned by a driver and passed to
-/// every exchange_particles call; all buffers grow to their steady-state
-/// high-water mark during warm-up and are reused afterwards.
+/// Reusable routing workspace, owned by a driver rank (passed to every
+/// exchange_particles call) or by a VP (its step's router). All buffers
+/// grow to their steady-state high-water mark during warm-up and are
+/// reused afterwards.
 /// `allocations()` counts every buffer growth (including the byte-buffer
 /// pool shared with the comm layer), so a test can assert that it stops
 /// increasing once traffic reaches steady state.
@@ -58,7 +62,7 @@ struct ExchangeBuffers {
   std::vector<std::uint64_t> cursor;        ///< counting-sort write cursors
   std::vector<int> owner;                   ///< per-particle destination cache
   std::vector<pic::Particle> packed;        ///< emigrant payload grouped by destination
-  std::vector<pic::Particle> received;      ///< immigrants, appended to `mine`
+  std::vector<pic::Particle> received;      ///< immigrants, appended to the store
   comm::BufferPool pool;                    ///< recycled message byte buffers
 
   /// Whole-run traffic; every exchange through this workspace adds its
@@ -105,114 +109,38 @@ struct ExchangeBuffers {
   std::uint64_t growths_ = 0;
 };
 
-/// Generalised flat-buffer exchange for arbitrary ownership:
-/// `owner_of(x, y)` maps a position to its rank. Post-condition:
-/// owner_of(p) == my rank for every particle kept. The result order is
-/// deterministic: keepers first in their original order (they never
-/// leave `mine` — in steady state the overwhelming majority of particles
-/// stay put, so only emigrants are packed and shipped), then immigrants
-/// in ascending source-rank order.
+/// The one particle router, shared by the rank exchange below and the
+/// VP step (PicVp). Computes every row's destination `owner_of(x, y)`
+/// in [0, destinations), compacts the keepers (destination `me`) stably
+/// in place — all columns in lockstep, a TileIndex's ranges (may be
+/// null) shrunk in step — and counting-sorts the emigrants into
+/// `buffers.packed` as AoS wire records grouped by ascending
+/// destination, each group in store order. On return
+/// `buffers.send_counts[d]` is the size of destination d's group (self
+/// zeroed: keepers are not traffic). Returns the emigrant count.
 template <typename OwnerFn>
-ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
-                                    std::vector<pic::Particle>& mine,
-                                    ExchangeBuffers& buffers) {
-  const auto p = static_cast<std::size_t>(comm.size());
-  const auto me = static_cast<std::size_t>(comm.rank());
-  const std::size_t n = mine.size();
-
-  // Pass 1: destination of every particle + per-destination counts.
-  buffers.fit(buffers.owner, n);
-  buffers.fit(buffers.send_counts, p);
-  buffers.fit(buffers.cursor, p);
-  buffers.fit(buffers.recv_counts, p);
-  std::fill(buffers.send_counts.begin(), buffers.send_counts.end(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int dst = owner_of(mine[i].x, mine[i].y);
-    buffers.owner[i] = dst;
-    ++buffers.send_counts[static_cast<std::size_t>(dst)];
-  }
-  const std::uint64_t keepers = buffers.send_counts[me];
-  buffers.send_counts[me] = 0;  // keepers are not traffic
-
-  // Pass 2: compact keepers in place (stable) and counting-sort the
-  // emigrants into the packed send buffer, grouped by destination.
-  std::uint64_t offset = 0;
-  for (std::size_t r = 0; r < p; ++r) {
-    buffers.cursor[r] = offset;
-    offset += buffers.send_counts[r];
-  }
-  buffers.fit(buffers.packed, n - static_cast<std::size_t>(keepers));
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (buffers.owner[i] == static_cast<int>(me)) {
-      if (w != i) mine[w] = mine[i];
-      ++w;
-    } else {
-      buffers.packed[buffers.cursor[static_cast<std::size_t>(buffers.owner[i])]++] =
-          mine[i];
-    }
-  }
-  mine.resize(w);  // shrink: never reallocates
-
-  const std::size_t recv_capacity = buffers.received.capacity();
-  comm.alltoallv(std::span<const pic::Particle>(buffers.packed),
-                 std::span<const std::uint64_t>(buffers.send_counts), buffers.received,
-                 buffers.recv_counts, &buffers.pool);
-  if (buffers.received.capacity() > recv_capacity) buffers.note_growth();
-
-  const std::size_t mine_capacity = mine.capacity();
-  mine.insert(mine.end(), buffers.received.begin(), buffers.received.end());
-  if (mine.capacity() > mine_capacity) buffers.note_growth();
-
-  ExchangeStats stats;
-  stats.sent = static_cast<std::uint64_t>(n) - keepers;
-  stats.bytes = stats.sent * sizeof(pic::Particle);
-  stats.received = buffers.received.size();
-  buffers.note_traffic(stats);
-  return stats;
-}
-
-/// Convenience overload with a throwaway workspace (tests, one-shot
-/// callers). Drivers should own an ExchangeBuffers instead.
-template <typename OwnerFn>
-ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
-                                    std::vector<pic::Particle>& mine) {
-  ExchangeBuffers buffers;
-  return exchange_particles_by(comm, std::forward<OwnerFn>(owner_of), mine, buffers);
-}
-
-/// SoA-store exchange: same protocol and wire format as the AoS
-/// overload — emigrants are packed into the flat 80-byte-record
-/// alltoallv payload, immigrants are unpacked onto the end of the store
-/// — with the keeper compaction applied column-wise. The result order
-/// contract is unchanged (keepers stable-first, then immigrants by
-/// source rank), so a TileIndex over the store survives: pass it and
-/// its tile ranges are shrunk in step with the compaction (immigrants
-/// land in the index tail); pass nullptr when no index is maintained.
-template <typename OwnerFn>
-ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
-                                    pic::ParticleSoA& mine, pic::TileIndex* tiles,
-                                    ExchangeBuffers& buffers) {
-  const auto p = static_cast<std::size_t>(comm.size());
-  const auto me = static_cast<std::size_t>(comm.rank());
+std::uint64_t route_particles(OwnerFn&& owner_of, int me, int destinations,
+                              pic::ParticleSoA& mine, pic::TileIndex* tiles,
+                              ExchangeBuffers& buffers) {
+  const auto p = static_cast<std::size_t>(destinations);
+  const auto self = static_cast<std::size_t>(me);
   const std::size_t n = mine.size();
 
   // Pass 1: destination of every row + per-destination counts.
   buffers.fit(buffers.owner, n);
   buffers.fit(buffers.send_counts, p);
   buffers.fit(buffers.cursor, p);
-  buffers.fit(buffers.recv_counts, p);
   std::fill(buffers.send_counts.begin(), buffers.send_counts.end(), 0);
   for (std::size_t i = 0; i < n; ++i) {
     const int dst = owner_of(mine.x[i], mine.y[i]);
     buffers.owner[i] = dst;
     ++buffers.send_counts[static_cast<std::size_t>(dst)];
   }
-  const std::uint64_t keepers = buffers.send_counts[me];
-  buffers.send_counts[me] = 0;  // keepers are not traffic
+  const std::uint64_t keepers = buffers.send_counts[self];
+  buffers.send_counts[self] = 0;
 
-  // Pass 2: compact keepers in place (stable, all columns in lockstep)
-  // and counting-sort the emigrants into the packed AoS wire buffer.
+  // Pass 2: compact keepers in place and counting-sort the emigrants
+  // into the packed wire buffer.
   std::uint64_t offset = 0;
   for (std::size_t r = 0; r < p; ++r) {
     buffers.cursor[r] = offset;
@@ -221,7 +149,7 @@ ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
   buffers.fit(buffers.packed, n - static_cast<std::size_t>(keepers));
   std::size_t w = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (buffers.owner[i] == static_cast<int>(me)) {
+    if (buffers.owner[i] == me) {
       mine.move_row(w, i);
       ++w;
     } else {
@@ -231,10 +159,29 @@ ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
   }
   mine.truncate(w);  // shrink: never reallocates
   if (tiles != nullptr) {
-    tiles->compact_ranges(std::span<const int>(buffers.owner.data(), n),
-                          static_cast<int>(me));
+    tiles->compact_ranges(std::span<const int>(buffers.owner.data(), n), me);
   }
+  return static_cast<std::uint64_t>(n) - keepers;
+}
 
+/// Flat-buffer rank exchange for arbitrary ownership: `owner_of(x, y)`
+/// maps a position to its rank. route_particles, then one
+/// `Comm::alltoallv` of the packed groups, then the immigrants are
+/// appended to the store. Post-condition: owner_of(p) == my rank for
+/// every particle kept. The result order is deterministic: keepers
+/// first in their original order, then immigrants in ascending
+/// source-rank order — so a TileIndex over the store survives (the
+/// immigrants land in its tail).
+template <typename OwnerFn>
+ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
+                                    pic::ParticleSoA& mine, pic::TileIndex* tiles,
+                                    ExchangeBuffers& buffers) {
+  ExchangeStats stats;
+  stats.sent = route_particles(std::forward<OwnerFn>(owner_of), comm.rank(), comm.size(),
+                               mine, tiles, buffers);
+  stats.bytes = stats.sent * sizeof(pic::Particle);
+
+  buffers.fit(buffers.recv_counts, static_cast<std::size_t>(comm.size()));
   const std::size_t recv_capacity = buffers.received.capacity();
   comm.alltoallv(std::span<const pic::Particle>(buffers.packed),
                  std::span<const std::uint64_t>(buffers.send_counts), buffers.received,
@@ -245,28 +192,16 @@ ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
   mine.append(std::span<const pic::Particle>(buffers.received));
   if (mine.capacity() > mine_capacity) buffers.note_growth();
 
-  ExchangeStats stats;
-  stats.sent = static_cast<std::uint64_t>(n) - keepers;
-  stats.bytes = stats.sent * sizeof(pic::Particle);
   stats.received = buffers.received.size();
   buffers.note_traffic(stats);
   return stats;
 }
 
-/// Routes emigrants in `mine` to their owners and appends immigrants.
-/// Collective over `comm`. Post-condition: every particle in `mine`
-/// belongs to this rank's block (verified exhaustively only under
-/// PICPRK_EXPENSIVE_CHECKS builds — the O(n) sweep would distort release
-/// timings).
-ExchangeStats exchange_particles(comm::Comm& comm, const Decomposition2D& decomp,
-                                 std::vector<pic::Particle>& mine,
-                                 ExchangeBuffers& buffers);
-
-/// Convenience overload with a throwaway workspace.
-ExchangeStats exchange_particles(comm::Comm& comm, const Decomposition2D& decomp,
-                                 std::vector<pic::Particle>& mine);
-
-/// SoA-store variant of exchange_particles; `tiles` may be null.
+/// Routes emigrants in `mine` to their block owners and appends
+/// immigrants; `tiles` may be null. Collective over `comm`.
+/// Post-condition: every particle in `mine` belongs to this rank's block
+/// (verified exhaustively only under PICPRK_EXPENSIVE_CHECKS builds —
+/// the O(n) sweep would distort release timings).
 ExchangeStats exchange_particles(comm::Comm& comm, const Decomposition2D& decomp,
                                  pic::ParticleSoA& mine, pic::TileIndex* tiles,
                                  ExchangeBuffers& buffers);

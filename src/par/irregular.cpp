@@ -125,11 +125,13 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
   const Decomposition2D initial_decomp(grid, cart);
   const pic::CellRegion block = initial_decomp.block_of(comm.rank());
   const pic::Initializer init(config.init);
-  std::vector<pic::Particle> particles =
-      init.create_block(block.x0, block.x1, block.y0, block.y1);
-  // Irregular subdomains have no rectangular slab; the mover reads the
-  // analytic charge pattern directly (the specification allows any
-  // charge source — §III-C obliviousness).
+  pic::ParticleSoA particles =
+      pic::to_soa(init.create_block(block.x0, block.x1, block.y0, block.y1));
+  // Irregular subdomains are no rectangles, so the tile index spans the
+  // whole grid and the mover reads the analytic charge pattern directly
+  // instead of a slab (the specification allows any charge source —
+  // §III-C obliviousness).
+  pic::TileIndex tiles(pic::CellRegion{0, grid.cells, 0, grid.cells});
   const pic::AlternatingColumnCharges charges(config.init.mesh_q);
 
   EventTracker tracker(init, config.events);
@@ -141,7 +143,7 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
   result.initial_perimeter = map.total_perimeter();
 
   util::PhaseTimer compute_timer, exchange_timer, lb_timer;
-  std::uint64_t sent = 0, bytes = 0, lb_actions = 0;
+  std::uint64_t lb_actions = 0;
   ExchangeBuffers exchange_buffers;  // steady-state exchange allocates nothing
   util::Timer wall;
 
@@ -151,18 +153,15 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
   // the exchange redistribute. For simplicity events apply on the rank
   // owning the *initial* block of the event cells.
   for (std::uint32_t step = 0; step < config.steps; ++step) {
-    if (!config.events.empty()) tracker.apply(step, block, particles);
+    tracker.apply(step, block, particles, &tiles);
 
     compute_timer.start();
-    pic::move_all(std::span<pic::Particle>(particles), grid, charges, config.init.dt);
+    pic::move_all_tiled(particles, tiles, grid, charges, config.init.dt);
     compute_timer.stop();
 
     exchange_timer.start();
-    const ExchangeStats stats =
-        exchange_particles_by(comm, owner_of, particles, exchange_buffers);
+    exchange_particles_by(comm, owner_of, particles, &tiles, exchange_buffers);
     exchange_timer.stop();
-    sent += stats.sent;
-    bytes += stats.bytes;
 
     if (step > 0 && step % params.frequency == 0) {
       lb_timer.start();
@@ -175,10 +174,7 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
       const std::int64_t moved = irregular_lb_pass(map, loads, params);
       if (moved > 0) {
         lb_actions += static_cast<std::uint64_t>(moved);
-        const ExchangeStats lb_stats =
-            exchange_particles_by(comm, owner_of, particles, exchange_buffers);
-        sent += lb_stats.sent;
-        bytes += lb_stats.bytes;
+        exchange_particles_by(comm, owner_of, particles, &tiles, exchange_buffers);
       }
       lb_timer.stop();
     }
@@ -194,12 +190,11 @@ IrregularResult run_irregular(comm::Comm& comm, const DriverConfig& config,
   result.final_perimeter = map.total_perimeter();
 
   const pic::VerifyResult local_verify =
-      verify_particles(std::span<const pic::Particle>(particles), grid, config.steps,
-                       config.verify_epsilon);
+      pic::verify_particles(particles, grid, config.steps, config.verify_epsilon);
   finalize_result(comm, config, local_verify, tracker, particles.size(), seconds,
                   PhaseBreakdown{compute_timer.total(), exchange_timer.total(),
                                  lb_timer.total()},
-                  sent, bytes, lb_actions,
+                  exchange_buffers.totals.sent, exchange_buffers.totals.bytes, lb_actions,
                   static_cast<std::uint64_t>(lb_actions) * sizeof(double), result.driver);
   return result;
 }

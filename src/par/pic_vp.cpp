@@ -35,66 +35,27 @@ void PicVp::step(vpr::VpContext& ctx) {
     shared_->ft.injector->begin_step(id(), step);
   }
 
-  // Events are rare: stage through the AoS wire form only on steps
-  // where something is scheduled (free otherwise).
-  if (!shared_->events.empty() && shared_->events.scheduled_at(step)) {
-    std::vector<pic::Particle> staging = pic::to_aos(particles_);
-    for (std::size_t e = 0; e < shared_->events.removals().size(); ++e) {
-      if (shared_->events.removals()[e].step != step) continue;
-      const pic::CellRegion& region = shared_->events.removals()[e].region;
-      for (const pic::Particle& p : staging) {
-        const auto cx = grid.cell_of(p.x);
-        const auto cy = grid.cell_of(p.y);
-        if (region.contains_cell(cx, cy) && shared_->events.removes(shared_->init, e, p.id)) {
-          removed_id_sum_ += p.id;
-        }
-      }
-    }
-    shared_->events.apply_step(shared_->init, step, block_.x0, block_.x1, block_.y0,
-                               block_.y1, staging);
-    particles_.assign(staging);
-    tiles_.mark_dirty();
-  }
+  removed_id_sum_ +=
+      shared_->events.apply_step(shared_->init, step, block_, particles_, &tiles_);
 
   pic::move_all_tiled(particles_, tiles_, grid, slab_, shared_->init_params.dt);
 
-  // Route emigrants to their owner VPs (static VP decomposition). All
-  // routing scratch is VP-owned and reused every step; outgoing byte
-  // payloads come from the pool that recycles delivered messages, so
-  // steady-state routing allocates nothing. Keepers compact stably in
-  // place (tile ranges shrink without a re-sort); emigrants leave as
-  // AoS wire records.
-  route_dst_.clear();
-  const std::size_t n = particles_.size();
-  route_owner_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    route_owner_[i] = shared_->owner_vp(particles_.x[i], particles_.y[i]);
-  }
-  std::size_t w = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const int owner = route_owner_[i];
-    if (owner == id()) {
-      if (w != i) particles_.move_row(w, i);
-      ++w;
-      continue;
-    }
-    std::size_t b = 0;
-    while (b < route_dst_.size() && route_dst_[b] != owner) ++b;
-    if (b == route_dst_.size()) {
-      route_dst_.push_back(owner);
-      if (route_buckets_.size() < route_dst_.size()) route_buckets_.emplace_back();
-      route_buckets_[b].clear();
-    }
-    route_buckets_[b].push_back(particles_.get(i));
-  }
-  particles_.truncate(w);
-  tiles_.compact_ranges(std::span<const int>(route_owner_.data(), n), id());
-  for (std::size_t b = 0; b < route_dst_.size(); ++b) {
-    const std::vector<pic::Particle>& bucket = route_buckets_[b];
-    sent_particles_ += bucket.size();
-    std::vector<std::byte> bytes = byte_pool_.acquire(bucket.size() * sizeof(pic::Particle));
-    std::memcpy(bytes.data(), bucket.data(), bytes.size());
-    ctx.send(route_dst_[b], std::move(bytes));
+  // Route emigrants to their owner VPs (static VP decomposition) with the
+  // rank exchange's router, then ship each destination's group as one
+  // message. Routing scratch is VP-owned and reused every step; outgoing
+  // byte payloads come from the pool that recycles delivered messages,
+  // so steady-state routing allocates nothing.
+  sent_particles_ += route_particles(
+      [this](double x, double y) { return shared_->owner_vp(x, y); }, id(),
+      shared_->vcart.size(), particles_, &tiles_, route_);
+  const pic::Particle* group = route_.packed.data();
+  for (std::size_t dst = 0; dst < route_.send_counts.size(); ++dst) {
+    const std::uint64_t count = route_.send_counts[dst];
+    if (count == 0) continue;
+    std::vector<std::byte> bytes = route_.pool.acquire(count * sizeof(pic::Particle));
+    std::memcpy(bytes.data(), group, bytes.size());
+    ctx.send(static_cast<int>(dst), std::move(bytes));
+    group += count;
   }
 }
 
@@ -104,11 +65,11 @@ void PicVp::deliver(int /*src_vp*/, std::vector<std::byte> payload) {
   if (count > 0) {
     // Wire records land in the untiled tail; the tile index stays
     // valid and the next move's flat pass covers them.
-    recv_scratch_.resize(count);
-    std::memcpy(recv_scratch_.data(), payload.data(), payload.size());
-    particles_.append(std::span<const pic::Particle>(recv_scratch_));
+    route_.received.resize(count);
+    std::memcpy(route_.received.data(), payload.data(), payload.size());
+    particles_.append(std::span<const pic::Particle>(route_.received));
   }
-  byte_pool_.release(std::move(payload));  // becomes next step's send staging
+  route_.pool.release(std::move(payload));  // becomes next step's send staging
 }
 
 std::vector<int> PicVp::neighbor_vps() const {
@@ -147,18 +108,6 @@ void PicVp::pup(vpr::Pup& p) {
   p(removed_id_sum_);
   p(sent_particles_);
   if (p.unpacking()) tiles_.mark_dirty();
-}
-
-std::uint64_t vpr_expected_checksum(const pic::Initializer& init,
-                                    const pic::EventSchedule& events,
-                                    std::uint64_t removed_id_sum) {
-  std::uint64_t expected = pic::expected_checksum(init.total());
-  for (std::size_t e = 0; e < events.injections().size(); ++e) {
-    const std::uint64_t first = events.injection_first_id(init, e);
-    const std::uint64_t count = events.injection_total(init, e);
-    if (count > 0) expected += count * first + count * (count - 1) / 2;
-  }
-  return expected - removed_id_sum;
 }
 
 void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,

@@ -15,6 +15,7 @@
 #include "comm/comm.hpp"
 #include "ft/options.hpp"
 #include "par/driver_common.hpp"
+#include "par/exchange.hpp"
 #include "pic/charge.hpp"
 #include "pic/tiling.hpp"
 #include "vpr/vp.hpp"
@@ -81,22 +82,10 @@ class PicVp final : public vpr::VirtualProcessor {
   pic::TileIndex tiles_;  // pup:transient — rebuilt from the store after unpack
   std::uint64_t removed_id_sum_ = 0;
   std::uint64_t sent_particles_ = 0;
-  // Routing scratch: a migrated VP simply re-warms its buffers.
-  std::vector<int> route_owner_;                           // pup:transient
-  std::vector<std::vector<pic::Particle>> route_buckets_;  // pup:transient
-  std::vector<int> route_dst_;                             // pup:transient
-  std::vector<pic::Particle> recv_scratch_;                // pup:transient
-  comm::BufferPool byte_pool_;                             // pup:transient
+  // Routing scratch (route_particles over VP ids, plus the receive side's
+  // staging and the byte-buffer pool): a migrated VP simply re-warms it.
+  ExchangeBuffers route_;  // pup:transient
 };
-
-/// The closed-form id checksum a finished vpr-hosted kernel instance
-/// must reproduce: Σ id over the initial population (n(n+1)/2 by
-/// construction), plus every scheduled injection's id range, minus the
-/// ids actually removed (summed over the VPs). Shared by run_ampi and
-/// the svc job server so both verify against the identical invariant.
-std::uint64_t vpr_expected_checksum(const pic::Initializer& init,
-                                    const pic::EventSchedule& events,
-                                    std::uint64_t removed_id_sum);
 
 /// End-of-run verification tallies over a set of vpr-hosted PicVps.
 struct VpVerifyTally {
@@ -106,10 +95,10 @@ struct VpVerifyTally {
 };
 
 /// Folds one VP's final population into the closed-form check: position
-/// verification against the analytic trajectory plus the removed-id and
-/// sent-particle tallies that feed `vpr_expected_checksum`. Shared by
-/// run_ampi, run_async and svc::Job so every host of the VP classes
-/// finalizes against the identical invariant.
+/// verification against the analytic trajectory, the removed-id tally
+/// that EventSchedule::expected_checksum takes, and the sent-particle
+/// tally. Shared by run_ampi, run_async and svc::Job so every host of the
+/// VP classes finalizes against the identical invariant.
 void accumulate_vp_verification(const PicVp& vp, const DriverConfig& config,
                                 VpVerifyTally& tally);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "pic/verify.hpp"
 #include "util/assert.hpp"
 
 namespace picprk::pic {
@@ -80,33 +81,54 @@ bool EventSchedule::removes(const Initializer& init, std::size_t event_index,
   return rng.double_at(0) < ev.fraction;
 }
 
-std::int64_t EventSchedule::apply_step(const Initializer& init, std::uint32_t step,
-                                       std::int64_t cx0, std::int64_t cx1, std::int64_t cy0,
-                                       std::int64_t cy1,
-                                       std::vector<Particle>& particles) const {
-  std::int64_t delta = 0;
+std::uint64_t EventSchedule::apply_step(const Initializer& init, std::uint32_t step,
+                                        const CellRegion& block,
+                                        std::vector<Particle>& particles) const {
   const GridSpec& grid = init.params().grid;
+  std::uint64_t removed_id_sum = 0;
 
   for (std::size_t e = 0; e < removals_.size(); ++e) {
     if (removals_[e].step != step) continue;
     const CellRegion& region = removals_[e].region;
     const auto new_end = std::remove_if(
         particles.begin(), particles.end(), [&](const Particle& p) {
-          const std::int64_t cx = grid.cell_of(p.x);
-          const std::int64_t cy = grid.cell_of(p.y);
-          return region.contains_cell(cx, cy) && removes(init, e, p.id);
+          const bool removed =
+              region.contains_cell(grid.cell_of(p.x), grid.cell_of(p.y)) &&
+              removes(init, e, p.id);
+          if (removed) removed_id_sum += p.id;
+          return removed;
         });
-    delta -= static_cast<std::int64_t>(particles.end() - new_end);
     particles.erase(new_end, particles.end());
   }
 
   for (std::size_t e = 0; e < injections_.size(); ++e) {
     if (injections_[e].step != step) continue;
-    const std::size_t before = particles.size();
-    emplace_injection_block(init, e, cx0, cx1, cy0, cy1, particles);
-    delta += static_cast<std::int64_t>(particles.size() - before);
+    emplace_injection_block(init, e, block.x0, block.x1, block.y0, block.y1, particles);
   }
-  return delta;
+  return removed_id_sum;
+}
+
+std::uint64_t EventSchedule::apply_step(const Initializer& init, std::uint32_t step,
+                                        const CellRegion& block, ParticleSoA& particles,
+                                        TileIndex* tiles) const {
+  if (!scheduled_at(step)) return 0;
+  std::vector<Particle> staging = to_aos(particles);
+  const std::uint64_t removed_id_sum = apply_step(init, step, block, staging);
+  particles.assign(staging);
+  if (tiles != nullptr) tiles->mark_dirty();
+  return removed_id_sum;
+}
+
+std::uint64_t EventSchedule::expected_checksum(const Initializer& init,
+                                               std::uint64_t removed_id_sum) const {
+  std::uint64_t sum = pic::expected_checksum(init.total());
+  std::uint64_t first = injection_first_id(init, 0);
+  for (std::size_t e = 0; e < injections_.size(); ++e) {
+    const std::uint64_t count = injection_total(init, e);
+    sum += count * first + count * (count - 1) / 2;  // ids [first, first + count)
+    first += count;
+  }
+  return sum - removed_id_sum;
 }
 
 }  // namespace picprk::pic

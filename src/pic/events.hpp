@@ -17,6 +17,7 @@
 #include "pic/geometry.hpp"
 #include "pic/init.hpp"
 #include "pic/particle.hpp"
+#include "pic/tiling.hpp"
 
 namespace picprk::pic {
 
@@ -38,10 +39,12 @@ struct RemovalEvent {
   double fraction = 0.5;
 };
 
-/// Event schedule plus the bookkeeping needed to keep ids unique and the
-/// id-checksum verifiable when the population changes (§III-D notes the
-/// plain n(n+1)/2 checksum only applies without injection/removal; the
-/// ledger tracks the expected checksum incrementally).
+/// Event schedule plus the id ledger that keeps the closed-form checksum
+/// verifiable when the population changes (§III-D notes the plain
+/// n(n+1)/2 checksum only applies without injection/removal). It is the
+/// one owner of that ledger: `apply_step` reports the ids it removed and
+/// `expected_checksum` turns their global sum into the checksum every
+/// engine verifies against.
 class EventSchedule {
  public:
   EventSchedule() = default;
@@ -51,8 +54,8 @@ class EventSchedule {
   const std::vector<RemovalEvent>& removals() const { return removals_; }
   bool empty() const { return injections_.empty() && removals_.empty(); }
 
-  /// Whether any event fires at `step` — the guard the SoA drivers use
-  /// to skip the AoS staging round-trip on ordinary steps.
+  /// Whether any event fires at `step` — the guard that skips the AoS
+  /// staging round-trip of the SoA overload on ordinary steps.
   bool scheduled_at(std::uint32_t step) const {
     for (const InjectionEvent& e : injections_) {
       if (e.step == step) return true;
@@ -84,12 +87,29 @@ class EventSchedule {
   /// resides in the event's region.
   bool removes(const Initializer& init, std::size_t event_index, std::uint64_t id) const;
 
-  /// Applies every event scheduled for `step` to a local particle vector
-  /// restricted to the cell block [cx0,cx1)×[cy0,cy1) (the whole grid for
-  /// serial). Returns the net change in local particle count.
-  std::int64_t apply_step(const Initializer& init, std::uint32_t step, std::int64_t cx0,
-                          std::int64_t cx1, std::int64_t cy0, std::int64_t cy1,
-                          std::vector<Particle>& particles) const;
+  /// Applies every event scheduled for `step` to a local particle set
+  /// restricted to the cell block `block` (the whole grid for serial):
+  /// removals first, in event order, each on what the earlier ones left —
+  /// so a particle that overlapping removals both select goes once — then
+  /// injections into the block. Returns the sum of the ids removed, taken
+  /// in the same pass that removes them.
+  std::uint64_t apply_step(const Initializer& init, std::uint32_t step,
+                           const CellRegion& block,
+                           std::vector<Particle>& particles) const;
+
+  /// SoA-store variant: events are rare, so on a step where something is
+  /// scheduled the store is staged through AoS records and rebuilt (free
+  /// otherwise). Population and order change, so a maintained tile index
+  /// (may be null) is marked dirty.
+  std::uint64_t apply_step(const Initializer& init, std::uint32_t step,
+                           const CellRegion& block, ParticleSoA& particles,
+                           TileIndex* tiles) const;
+
+  /// The id checksum a finished run must reproduce: n(n+1)/2 over the
+  /// initial population, plus every injection's id range, minus the
+  /// global sum of the ids `apply_step` removed.
+  std::uint64_t expected_checksum(const Initializer& init,
+                                  std::uint64_t removed_id_sum) const;
 
  private:
   std::vector<InjectionEvent> injections_;

@@ -175,7 +175,7 @@ void Job::finalize() {
   });
   const pic::VerifyResult& verify = tally.verify;
   const std::uint64_t expected =
-      par::vpr_expected_checksum(shared_->init, spec_.run.events, tally.removed_id_sum);
+      shared_->events.expected_checksum(shared_->init, tally.removed_id_sum);
 
   result_.ok = verify.ok(expected);
   result_.final_particles = verify.checked;

@@ -37,12 +37,7 @@ WsResult run_worksteal(const pic::SimulationConfig& config, const WsParams& para
       bins[static_cast<std::size_t>(grid.cell_of(p.y))].push_back(p);
     }
   }
-  std::uint64_t expected_sum = pic::expected_checksum(init.total());
-  for (std::size_t e = 0; e < config.events.injections().size(); ++e) {
-    const std::uint64_t first = config.events.injection_first_id(init, e);
-    const std::uint64_t count = config.events.injection_total(init, e);
-    if (count > 0) expected_sum += count * first + count * (count - 1) / 2;
-  }
+  std::uint64_t removed_id_sum = 0;
 
   WorkStealingPool pool(params.workers);
   // Per-task staging for particles whose row changed (m != 0 only).
@@ -53,26 +48,13 @@ WsResult run_worksteal(const pic::SimulationConfig& config, const WsParams& para
   std::vector<std::uint64_t> executed_totals(static_cast<std::size_t>(params.workers), 0);
 
   for (std::uint32_t step = 0; step < config.steps; ++step) {
-    // Events (serial; rare and cheap relative to a step).
-    if (!config.events.empty()) {
-      for (std::size_t e = 0; e < config.events.removals().size(); ++e) {
-        if (config.events.removals()[e].step != step) continue;
-        const pic::CellRegion& region = config.events.removals()[e].region;
-        for (const auto& bin : bins) {
-          for (const auto& p : bin) {
-            const auto cx = grid.cell_of(p.x);
-            const auto cy = grid.cell_of(p.y);
-            if (region.contains_cell(cx, cy) && config.events.removes(init, e, p.id)) {
-              expected_sum -= p.id;
-            }
-          }
-        }
-      }
+    // Events (serial; rare and cheap relative to a step), applied row by
+    // row so injected particles land directly in the right bin.
+    if (config.events.scheduled_at(step)) {
       for (std::int64_t r = 0; r < rows; ++r) {
-        // Restrict the event application to this bin's row so injected
-        // particles land directly in the right bin.
-        config.events.apply_step(init, step, 0, grid.cells, r, r + 1,
-                                 bins[static_cast<std::size_t>(r)]);
+        removed_id_sum +=
+            config.events.apply_step(init, step, pic::CellRegion{0, grid.cells, r, r + 1},
+                                     bins[static_cast<std::size_t>(r)]);
       }
     }
 
@@ -124,8 +106,8 @@ WsResult run_worksteal(const pic::SimulationConfig& config, const WsParams& para
     total += bin.size();
   }
   result.verification = verify;
-  result.expected_id_checksum = expected_sum;
-  result.ok = verify.ok(expected_sum);
+  result.expected_id_checksum = config.events.expected_checksum(init, removed_id_sum);
+  result.ok = verify.ok(result.expected_id_checksum);
   result.final_particles = total;
   result.task_imbalance =
       util::imbalance_u64(std::span<const std::uint64_t>(executed_totals)).ratio;

@@ -62,8 +62,7 @@ TEST_P(DistSolverRanks, DepositionMatchesSerialExactly) {
     for (const auto& p : all) {
       if (decomp.owner_of_position(p.x, p.y) == comm.rank()) mine.push_back(p);
     }
-    picprk::field::deposit_cic_distributed(comm, std::span<const Particle>(mine), grid,
-                                           rho);
+    picprk::field::deposit_cic_distributed(comm, picprk::pic::to_soa(mine), grid, rho);
     for (std::int64_t gj = 0; gj < 16; ++gj) {
       for (std::int64_t gi = 0; gi < 16; ++gi) {
         if (!rho.owns(gi, gj)) continue;

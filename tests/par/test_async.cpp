@@ -1,7 +1,7 @@
 // The async engine's correctness contract: removing both per-step
 // barriers (incremental iexchange delivery + Mattern four-counter
 // termination) must change *nothing* observable about the physics. For
-// every §III-E distribution, with and without population events, the
+// every §III-E distribution and every population-event case, the
 // engine must reproduce the serial reference's final particle count and
 // id checksum bit-for-bit — the same bar the sync drivers clear in
 // test_integration_matrix.cpp.
@@ -9,13 +9,12 @@
 
 #include <stdexcept>
 #include <string>
-#include <tuple>
 
 #include "comm/world.hpp"
+#include "matrix_cases.hpp"
 #include "obs/registry.hpp"
 #include "par/ampi.hpp"
 #include "par/async.hpp"
-#include "pic/simulation.hpp"
 
 namespace {
 
@@ -25,86 +24,32 @@ using picprk::par::DriverResult;
 using picprk::par::RunConfig;
 using picprk::par::run_async;
 using picprk::pic::CellRegion;
-using picprk::pic::EventSchedule;
-using picprk::pic::InjectionEvent;
-using picprk::pic::RemovalEvent;
 
-constexpr std::int64_t kCells = 24;
-constexpr std::uint64_t kParticles = 900;
-constexpr std::uint32_t kSteps = 32;
-
-picprk::pic::Distribution async_distribution(int kind) {
-  switch (kind) {
-    case 0: return picprk::pic::Uniform{};
-    case 1: return picprk::pic::Geometric{0.85};
-    case 2: return picprk::pic::Sinusoidal{};
-    case 3: return picprk::pic::Linear{1.0, 1.2};
-    default: return picprk::pic::Patch{CellRegion{2, 14, 6, 20}};
-  }
-}
-
-const char* async_tag(int kind) {
-  switch (kind) {
-    case 0: return "uniform";
-    case 1: return "geometric";
-    case 2: return "sinusoidal";
-    case 3: return "linear";
-    default: return "patch";
-  }
-}
-
-RunConfig async_config(int kind, bool events) {
+RunConfig async_config(int kind, matrix::Events events) {
   RunConfig cfg;
-  cfg.init.grid = picprk::pic::GridSpec(kCells, 1.0);
-  cfg.init.total_particles = kParticles;
-  cfg.init.distribution = async_distribution(kind);
+  cfg.init.grid = picprk::pic::GridSpec(matrix::kCells, 1.0);
+  cfg.init.total_particles = matrix::kParticles;
+  cfg.init.distribution = matrix::distribution(kind);
   cfg.init.k = 1;
   cfg.init.m = -1;
-  cfg.steps = kSteps;
+  cfg.steps = matrix::kSteps;
   cfg.ranks = 4;
   cfg.overdecomposition = 4;
   cfg.lb.strategy = "steal";
   cfg.lb.every = 4;
-  if (events) {
-    cfg.events = EventSchedule(
-        {InjectionEvent{kSteps / 3, CellRegion{0, kCells / 2, 0, kCells}, 300}},
-        {RemovalEvent{2 * kSteps / 3, CellRegion{0, kCells, kCells / 2, kCells}, 0.4}});
-  }
+  cfg.events = matrix::schedule(events);
   return cfg;
 }
 
-struct Reference {
-  std::uint64_t particles;
-  std::uint64_t checksum;
-};
+class AsyncMatrix : public ::testing::TestWithParam<matrix::Param> {};
 
-Reference serial_reference(const RunConfig& cfg) {
-  picprk::pic::SimulationConfig scfg;
-  scfg.init = cfg.init;
-  scfg.steps = cfg.steps;
-  scfg.events = cfg.events;
-  const auto r = picprk::pic::run_serial(scfg);
-  EXPECT_TRUE(r.ok());
-  return Reference{r.final_particles, r.verification.id_checksum};
-}
-
-// (distribution kind, events on/off)
-class AsyncMatrix : public ::testing::TestWithParam<std::tuple<int, bool>> {};
-
-INSTANTIATE_TEST_SUITE_P(DistributionsAndEvents, AsyncMatrix,
-                         ::testing::Combine(::testing::Values(0, 1, 2, 3, 4),
-                                            ::testing::Bool()),
-                         [](const auto& info) {
-                           const int kind = std::get<0>(info.param);
-                           const bool events = std::get<1>(info.param);
-                           return std::string(async_tag(kind)) +
-                                  (events ? "_events" : "_static");
-                         });
+INSTANTIATE_TEST_SUITE_P(DistributionsAndEvents, AsyncMatrix, matrix::cases(),
+                         matrix::case_name);
 
 TEST_P(AsyncMatrix, MatchesSerialBitForBit) {
   const auto [kind, events] = GetParam();
   const RunConfig cfg = async_config(kind, events);
-  const Reference ref = serial_reference(cfg);
+  const matrix::Reference ref = matrix::serial_reference(cfg);
   const DriverResult r = run_async(cfg);
   EXPECT_TRUE(r.ok) << "failures=" << r.verification.position_failures
                     << " checksum=" << r.verification.id_checksum << "/"
@@ -118,7 +63,7 @@ TEST_P(AsyncMatrix, MatchesSerialBitForBit) {
 // agree with the barriered vpr driver at the same decomposition —
 // 16 VPs either way — including LB migration effects on the tallies.
 TEST(Async, MatchesAmpiAtEqualDecomposition) {
-  RunConfig cfg = async_config(1, /*events=*/false);
+  RunConfig cfg = async_config(1, matrix::Events::kNone);
   const DriverResult async_r = run_async(cfg);
 
   RunConfig ampi_cfg = cfg;
@@ -136,7 +81,7 @@ TEST(Async, MatchesAmpiAtEqualDecomposition) {
 // Collective form inside an existing world: every rank must return the
 // same (allreduced) result.
 TEST(Async, CollectiveFormAgreesOnAllRanks) {
-  const RunConfig cfg = async_config(0, /*events=*/false);
+  const RunConfig cfg = async_config(0, matrix::Events::kNone);
   World world(cfg.ranks);
   world.run([&](Comm& comm) {
     const DriverResult r = run_async(comm, cfg);
@@ -157,10 +102,10 @@ TEST(Async, CollectiveFormAgreesOnAllRanks) {
 // zero particles, so their (sent, received) contributions stay (0, 0)
 // every step. The token ring must still complete each step promptly.
 TEST(Async, ZeroParticleRanksTerminate) {
-  RunConfig cfg = async_config(4, /*events=*/false);
+  RunConfig cfg = async_config(4, matrix::Events::kNone);
   cfg.init.distribution = picprk::pic::Patch{CellRegion{0, 4, 0, 4}};
   cfg.lb.every = 0;  // no rebalancing: the empty ranks stay empty
-  const Reference ref = serial_reference(cfg);
+  const matrix::Reference ref = matrix::serial_reference(cfg);
   const DriverResult r = run_async(cfg);
   EXPECT_TRUE(r.ok);
   EXPECT_EQ(r.final_particles, ref.particles);
@@ -170,7 +115,7 @@ TEST(Async, ZeroParticleRanksTerminate) {
 // The engine requires a placement-capable strategy; bounds-only specs
 // are a configuration error, caught before any thread spawns.
 TEST(Async, RejectsNonPlacementBalancer) {
-  RunConfig cfg = async_config(0, false);
+  RunConfig cfg = async_config(0, matrix::Events::kNone);
   cfg.lb.strategy = "rcb";  // bounds-only: no placement support
   EXPECT_THROW(run_async(cfg), std::invalid_argument);
 }
@@ -180,7 +125,7 @@ TEST(Async, RejectsNonPlacementBalancer) {
 // of the same rank were still stepping*.
 TEST(Async, RecordsOverlapTelemetry) {
   picprk::obs::Registry registry;
-  RunConfig cfg = async_config(1, /*events=*/false);
+  RunConfig cfg = async_config(1, matrix::Events::kNone);
   cfg.obs.registry = &registry;
   const DriverResult r = run_async(cfg);
   ASSERT_TRUE(r.ok);

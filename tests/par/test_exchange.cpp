@@ -1,11 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <set>
-
 #include "comm/world.hpp"
 #include "par/exchange.hpp"
 #include "pic/init.hpp"
 #include "pic/mover.hpp"
+#include "pic/tiling.hpp"
 #include "pic/verify.hpp"
 
 namespace {
@@ -19,6 +18,14 @@ using picprk::pic::GridSpec;
 using picprk::pic::InitParams;
 using picprk::pic::Initializer;
 using picprk::pic::Particle;
+using picprk::pic::ParticleSoA;
+
+/// One exchange through a fresh workspace, with no tile index.
+picprk::par::ExchangeStats exchange_once(Comm& comm, const Decomposition2D& decomp,
+                                         ParticleSoA& mine) {
+  picprk::par::ExchangeBuffers buffers;
+  return exchange_particles(comm, decomp, mine, nullptr, buffers);
+}
 
 TEST(Exchange, RoutesDisplacedParticlesToOwners) {
   const int p = 4;
@@ -33,13 +40,14 @@ TEST(Exchange, RoutesDisplacedParticlesToOwners) {
     params.grid = grid;
     params.total_particles = 800;
     const Initializer init(params);
-    auto mine = init.create_block(block.x0, block.x1, block.y0, block.y1);
+    ParticleSoA mine =
+        picprk::pic::to_soa(init.create_block(block.x0, block.x1, block.y0, block.y1));
     const std::uint64_t local_before = mine.size();
 
     // Shift every particle 5 cells right (wrapped): most leave the block.
-    for (auto& particle : mine) particle.x = picprk::pic::wrap(particle.x + 5.0, 16.0);
+    for (double& x : mine.x) x = picprk::pic::wrap(x + 5.0, 16.0);
 
-    const auto stats = exchange_particles(comm, decomp, mine);
+    const auto stats = exchange_once(comm, decomp, mine);
 
     // Global particle count is conserved.
     const std::uint64_t total_after = comm.allreduce_value<std::uint64_t>(
@@ -49,13 +57,13 @@ TEST(Exchange, RoutesDisplacedParticlesToOwners) {
     EXPECT_EQ(total_after, total_before);
 
     // Everything this rank holds is in its block (also asserted inside).
-    for (const auto& particle : mine) {
-      EXPECT_TRUE(block.contains_cell(grid.cell_of(particle.x), grid.cell_of(particle.y)));
+    for (std::size_t i = 0; i < mine.size(); ++i) {
+      EXPECT_TRUE(block.contains_cell(grid.cell_of(mine.x[i]), grid.cell_of(mine.y[i])));
     }
 
     // Id checksum is conserved.
     std::uint64_t local_sum = 0;
-    for (const auto& particle : mine) local_sum += particle.id;
+    for (const std::uint64_t id : mine.id) local_sum += id;
     const std::uint64_t sum = comm.allreduce_value<std::uint64_t>(
         local_sum, [](std::uint64_t a, std::uint64_t b) { return a + b; });
     EXPECT_EQ(sum, picprk::pic::expected_checksum(init.total()));
@@ -75,9 +83,10 @@ TEST(Exchange, NoMovementMeansNoTraffic) {
     params.grid = grid;
     params.total_particles = 200;
     const Initializer init(params);
-    auto mine = init.create_block(block.x0, block.x1, block.y0, block.y1);
+    ParticleSoA mine =
+        picprk::pic::to_soa(init.create_block(block.x0, block.x1, block.y0, block.y1));
 
-    const auto stats = exchange_particles(comm, decomp, mine);
+    const auto stats = exchange_once(comm, decomp, mine);
     EXPECT_EQ(stats.sent, 0u);
     EXPECT_EQ(stats.received, 0u);
   });
@@ -92,19 +101,18 @@ TEST(Exchange, LongJumpsRouteAcrossMultipleRanks) {
     Decomposition2D decomp(grid, cart);
     const auto block = decomp.block_of(comm.rank());
 
-    std::vector<Particle> mine;
+    ParticleSoA mine;
     if (comm.rank() == 0) {
       Particle p;
-      p.x = 0.5;
+      p.x = picprk::pic::wrap(0.5 + 9.0, 12.0);  // lands in rank 2
       p.y = 6.5;
       p.id = 7;
       mine.push_back(p);
-      mine.back().x = picprk::pic::wrap(0.5 + 9.0, 12.0);  // lands in rank 2
     }
-    const auto stats = exchange_particles(comm, decomp, mine);
+    const auto stats = exchange_once(comm, decomp, mine);
     if (comm.rank() == 2) {
       ASSERT_EQ(mine.size(), 1u);
-      EXPECT_EQ(mine.front().id, 7u);
+      EXPECT_EQ(mine.id.front(), 7u);
     } else {
       EXPECT_TRUE(mine.empty());
     }
@@ -116,9 +124,10 @@ TEST(Exchange, LongJumpsRouteAcrossMultipleRanks) {
 TEST(Exchange, WorkspaceReusePerformsNoSteadyStateAllocations) {
   // The zero-allocation contract of the hot path: drive steady,
   // stationary traffic (uniform particles hopping exact cell distances
-  // every step) through a reused ExchangeBuffers workspace and assert
-  // the growth counter stops moving once the buffers reach their
-  // high-water marks.
+  // every step) through the drivers' configuration — tiled mover, tile
+  // index kept across the exchange, one reused ExchangeBuffers
+  // workspace — and assert the growth counter stops moving once the
+  // buffers reach their high-water marks.
   World world(4);
   world.run([](Comm& comm) {
     GridSpec grid(32, 1.0);
@@ -133,20 +142,27 @@ TEST(Exchange, WorkspaceReusePerformsNoSteadyStateAllocations) {
     params.k = 1;
     params.m = 1;
     const Initializer init(params);
-    auto mine = init.create_block(block.x0, block.x1, block.y0, block.y1);
+    ParticleSoA mine =
+        picprk::pic::to_soa(init.create_block(block.x0, block.x1, block.y0, block.y1));
+    picprk::pic::TileIndex tiles(block);
 
     const picprk::pic::AlternatingColumnCharges charges;
     picprk::par::ExchangeBuffers buffers;
-    const std::uint32_t warmup = 10, steady = 30;
+    // The SoA store grows to fit exactly (no geometric slack), so the
+    // warm-up spans one full period of the hop pattern: after 32 steps of
+    // (3, 1) cells on a 32-cell periodic grid every particle is back in
+    // its starting cell, so every per-rank count and payload size has
+    // reached its high-water mark.
+    const std::uint32_t warmup = 32, steady = 30;
     for (std::uint32_t s = 0; s < warmup; ++s) {
-      picprk::pic::move_all(std::span<Particle>(mine), grid, charges, params.dt);
-      exchange_particles(comm, decomp, mine, buffers);
+      picprk::pic::move_all_tiled(mine, tiles, grid, charges, params.dt);
+      exchange_particles(comm, decomp, mine, &tiles, buffers);
     }
     const std::uint64_t after_warmup = buffers.allocations();
     std::uint64_t traffic = 0;
     for (std::uint32_t s = 0; s < steady; ++s) {
-      picprk::pic::move_all(std::span<Particle>(mine), grid, charges, params.dt);
-      traffic += exchange_particles(comm, decomp, mine, buffers).sent;
+      picprk::pic::move_all_tiled(mine, tiles, grid, charges, params.dt);
+      traffic += exchange_particles(comm, decomp, mine, &tiles, buffers).sent;
     }
     EXPECT_GT(traffic, 0u) << "test must actually exercise the send path";
     EXPECT_EQ(buffers.allocations(), after_warmup)
@@ -155,9 +171,9 @@ TEST(Exchange, WorkspaceReusePerformsNoSteadyStateAllocations) {
 }
 
 TEST(Exchange, WorkspaceAndThrowawayOverloadsAgree) {
-  // Same traffic through a reused workspace and through the throwaway
-  // convenience overload: identical particle sets, identical order
-  // (keepers first in original order, then immigrants by source rank).
+  // Same traffic through a warmed-up, reused workspace and through a
+  // throwaway one: identical particle sets, identical order (keepers
+  // first in original order, then immigrants by source rank).
   World world(4);
   world.run([](Comm& comm) {
     GridSpec grid(16, 1.0);
@@ -170,25 +186,65 @@ TEST(Exchange, WorkspaceAndThrowawayOverloadsAgree) {
     params.total_particles = 1200;
     params.distribution = picprk::pic::Geometric{0.95};
     const Initializer init(params);
-    auto with_workspace = init.create_block(block.x0, block.x1, block.y0, block.y1);
-    auto throwaway = with_workspace;
-    for (auto& particle : with_workspace)
-      particle.x = picprk::pic::wrap(particle.x + 3.0, grid.length());
-    for (auto& particle : throwaway)
-      particle.x = picprk::pic::wrap(particle.x + 3.0, grid.length());
+    ParticleSoA with_workspace =
+        picprk::pic::to_soa(init.create_block(block.x0, block.x1, block.y0, block.y1));
+    for (double& x : with_workspace.x) x = picprk::pic::wrap(x + 3.0, grid.length());
+    ParticleSoA throwaway = with_workspace;
 
     picprk::par::ExchangeBuffers buffers;
-    const auto a = exchange_particles(comm, decomp, with_workspace, buffers);
-    const auto b = exchange_particles(comm, decomp, throwaway);
+    ParticleSoA warmup = with_workspace;
+    exchange_particles(comm, decomp, warmup, nullptr, buffers);
+    const auto a = exchange_particles(comm, decomp, with_workspace, nullptr, buffers);
+    const auto b = exchange_once(comm, decomp, throwaway);
 
     EXPECT_EQ(a.sent, b.sent);
     EXPECT_EQ(a.received, b.received);
     ASSERT_EQ(with_workspace.size(), throwaway.size());
-    for (std::size_t i = 0; i < with_workspace.size(); ++i) {
-      EXPECT_EQ(with_workspace[i].id, throwaway[i].id);
-      EXPECT_EQ(with_workspace[i].x, throwaway[i].x);
-      EXPECT_EQ(with_workspace[i].y, throwaway[i].y);
+    EXPECT_EQ(with_workspace.id, throwaway.id);
+    EXPECT_EQ(with_workspace.x, throwaway.x);
+    EXPECT_EQ(with_workspace.y, throwaway.y);
+  });
+}
+
+TEST(Exchange, TileIndexSurvivesCompaction) {
+  // The drivers' configuration: a fresh tile index over the block is
+  // shrunk in step with the keeper compaction, immigrants land in its
+  // tail, and the store order matches the untiled exchange.
+  World world(4);
+  world.run([](Comm& comm) {
+    GridSpec grid(16, 1.0);
+    Cart2D cart(comm.size());
+    Decomposition2D decomp(grid, cart);
+    const auto block = decomp.block_of(comm.rank());
+
+    InitParams params;
+    params.grid = grid;
+    params.total_particles = 1500;
+    const Initializer init(params);
+    ParticleSoA tiled =
+        picprk::pic::to_soa(init.create_block(block.x0, block.x1, block.y0, block.y1));
+    picprk::pic::TileIndex tiles(block);
+    tiles.rebuild(tiled, grid);
+    // Shift every other cell column of particles by two cells: some tiles
+    // leave the block whole, the rest stay.
+    for (std::size_t i = 0; i < tiled.size(); ++i) {
+      if (grid.cell_of(tiled.x[i]) % 2 == 0) {
+        tiled.x[i] = picprk::pic::wrap(tiled.x[i] + 2.0, grid.length());
+      }
     }
+    ASSERT_TRUE(tiles.revalidate_after_move(tiled, grid));
+    ParticleSoA untiled = tiled;
+
+    picprk::par::ExchangeBuffers buffers;
+    const auto stats = exchange_particles(comm, decomp, tiled, &tiles, buffers);
+    exchange_once(comm, decomp, untiled);
+
+    EXPECT_GT(comm.allreduce_value<std::uint64_t>(
+                  stats.sent, [](std::uint64_t a, std::uint64_t b) { return a + b; }),
+              0u);
+    EXPECT_EQ(tiled.id, untiled.id);
+    EXPECT_TRUE(tiles.check(tiled, grid));
+    EXPECT_EQ(tiles.tail_begin(), tiled.size() - stats.received);
   });
 }
 
@@ -199,7 +255,7 @@ TEST(Exchange, ByteAccountingMatchesTraffic) {
     Cart2D cart(2, 1);
     Decomposition2D decomp(grid, cart);
 
-    std::vector<Particle> mine;
+    ParticleSoA mine;
     if (comm.rank() == 0) {
       for (int i = 0; i < 10; ++i) {
         Particle p;
@@ -209,7 +265,7 @@ TEST(Exchange, ByteAccountingMatchesTraffic) {
         mine.push_back(p);
       }
     }
-    const auto stats = exchange_particles(comm, decomp, mine);
+    const auto stats = exchange_once(comm, decomp, mine);
     if (comm.rank() == 0) {
       EXPECT_EQ(stats.sent, 10u);
       EXPECT_EQ(stats.bytes, 10u * sizeof(Particle));

@@ -237,4 +237,23 @@ TEST(InitializerTest, ColumnPrefixConsistentWithTotals) {
   EXPECT_EQ(running - 1, init.total());
 }
 
+TEST(Histograms, CountsMatchInitializer) {
+  // The materialised population matches the initializer's analytic
+  // per-column totals, and no particle is lost across rows.
+  const auto params = base_params(20, 2000, Geometric{0.9});
+  const Initializer init(params);
+  const auto particles = init.create_all();
+  std::vector<std::uint64_t> cols(20, 0), rows(20, 0);
+  for (const Particle& p : particles) {
+    ++cols[static_cast<std::size_t>(params.grid.cell_of(p.x))];
+    ++rows[static_cast<std::size_t>(params.grid.cell_of(p.y))];
+  }
+  for (std::int64_t cx = 0; cx < 20; ++cx) {
+    EXPECT_EQ(cols[static_cast<std::size_t>(cx)], init.column_total(cx));
+  }
+  std::uint64_t total = 0;
+  for (auto v : rows) total += v;
+  EXPECT_EQ(total, particles.size());
+}
+
 }  // namespace

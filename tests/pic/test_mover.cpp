@@ -176,4 +176,26 @@ TEST(MoveParticle, SlabChargesMatchAnalytic) {
   EXPECT_DOUBLE_EQ(pa.vx, pb.vx);
 }
 
+TEST(Drift, CloudDriftsAtSpecifiedSpeed) {
+  // The §III-E1 claim: with k = 1 every particle of a cloud hops exactly
+  // (2k+1) = 3 cells right per step and stays in its row.
+  picprk::pic::InitParams params;
+  params.grid = GridSpec(32, 1.0);
+  params.total_particles = 3000;
+  params.distribution = picprk::pic::Patch{{4, 12, 0, 32}};
+  params.k = 1;
+  const picprk::pic::Initializer init(params);
+  auto particles = init.create_all();
+  const AlternatingColumnCharges charges;
+  for (int step = 0; step < 4; ++step) {
+    const auto before = particles;
+    picprk::pic::move_all(std::span<Particle>(particles), params.grid, charges, 1.0);
+    for (std::size_t i = 0; i < particles.size(); ++i) {
+      EXPECT_EQ(params.grid.cell_of(particles[i].x),
+                (params.grid.cell_of(before[i].x) + 3) % 32);
+      EXPECT_EQ(params.grid.cell_of(particles[i].y), params.grid.cell_of(before[i].y));
+    }
+  }
+}
+
 }  // namespace

@@ -191,16 +191,12 @@ TEST(MoverEquivalence, TiledMoverSurvivesInjectionAndRemovalEvents) {
 
   auto p_scalar = init.create_all();
   auto soa = pic::to_soa(init.create_all());
-  pic::TileIndex tiles(pic::CellRegion{0, params.grid.cells, 0, params.grid.cells});
+  const pic::CellRegion whole{0, params.grid.cells, 0, params.grid.cells};
+  pic::TileIndex tiles(whole);
 
   for (std::uint32_t s = 0; s < kSteps; ++s) {
-    if (events.scheduled_at(s)) {
-      events.apply_step(init, s, 0, params.grid.cells, 0, params.grid.cells, p_scalar);
-      std::vector<Particle> staging = pic::to_aos(soa);
-      events.apply_step(init, s, 0, params.grid.cells, 0, params.grid.cells, staging);
-      soa.assign(std::span<const Particle>(staging));
-      tiles.mark_dirty();
-    }
+    events.apply_step(init, s, whole, p_scalar);
+    events.apply_step(init, s, whole, soa, &tiles);
     pic::move_all(std::span<Particle>(p_scalar), params.grid, charges, params.dt);
     pic::move_all_tiled(soa, tiles, params.grid, charges, params.dt);
     ASSERT_TRUE(!tiles.fresh() || tiles.check(soa, params.grid))
