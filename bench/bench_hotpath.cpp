@@ -3,8 +3,8 @@
 //  1. The force/move kernel — the pre-strength-reduction kernel
 //     (pic::reference, one sqrt + three divides per corner, four at()
 //     charge lookups) against the current kernel (1/r³ form, fused
-//     corners() lookup) in AoS, flat-SoA and tiled-SoA form. The tiled
-//     leg runs the production configuration (cell tiles + post-move
+//     corners() lookup) in AoS and tiled-SoA form. The tiled leg runs
+//     the production configuration (cell tiles + post-move
 //     revalidation; rebuild cost reported separately) at the acceptance
 //     geometry: 200k geometric particles on a 64² grid. Headline numbers
 //     are particles/sec, the speedup over the reference, and the tiled
@@ -151,7 +151,6 @@ int main(int argc, char** argv) {
   auto p_ref = init.create_all();
   auto p_new = init.create_all();
   auto p_slab = init.create_all();
-  auto soa = pic::to_soa(init.create_all());
   auto soa_tiled = pic::to_soa(init.create_all());
   pic::TileIndex tiles(pic::CellRegion{0, params.grid.cells, 0, params.grid.cells});
 
@@ -170,9 +169,6 @@ int main(int argc, char** argv) {
   });
   const Timing aos_slab = time_passes(passes, p_slab.size(), [&] {
     pic::move_all(std::span<pic::Particle>(p_slab), params.grid, slab, 1.0);
-  });
-  const Timing soa_t = time_passes(passes, soa.size(), [&] {
-    pic::move_all_soa(soa, params.grid, charges, 1.0);
   });
   const Timing tiled = time_passes(passes, soa_tiled.size(), [&] {
     pic::move_all_tiled(soa_tiled, tiles, params.grid, charges, 1.0);
@@ -196,7 +192,6 @@ int main(int argc, char** argv) {
   mover_row("reference AoS", ref);
   mover_row("AoS", aos);
   mover_row("AoS (slab)", aos_slab);
-  mover_row("SoA flat", soa_t);
   mover_row("SoA tiled", tiled);
   mover_table.print(std::cout);
   std::cout << "mover speedup (AoS vs reference): " << util::Table::fmt(speedup(aos), 2)
@@ -304,7 +299,6 @@ int main(int argc, char** argv) {
     cases.push_back(mover_case("mover_aos_reference", n, ref, 1.0));
     cases.push_back(mover_case("mover_aos", n, aos, speedup(aos)));
     cases.push_back(mover_case("mover_aos_slab", n, aos_slab, speedup(aos_slab)));
-    cases.push_back(mover_case("mover_soa", n, soa_t, speedup(soa_t)));
     {
       util::JsonObject c = mover_case("mover_soa_tiled", n, tiled, speedup(tiled));
       c.add("speedup_vs_scalar_aos", tiled_vs_scalar);

@@ -1,5 +1,5 @@
 // Kernel micro-benchmarks (google-benchmark): the per-particle force and
-// move kernel in AoS, SoA and OpenMP form, particle routing, the
+// move kernel in AoS and tiled SoA form, particle routing, the
 // closed-form verification, initialisation and PUP serialization.
 // These measure the building blocks whose relative costs the perfsim
 // machine model abstracts (t_particle, particle_bytes, ...).
@@ -47,20 +47,6 @@ void BM_MoverAoS(benchmark::State& state) {
                           static_cast<std::int64_t>(particles.size()));
 }
 BENCHMARK(BM_MoverAoS)->Arg(10000)->Arg(100000);
-
-void BM_MoverSoA(benchmark::State& state) {
-  const auto params = bench_params(512, static_cast<std::uint64_t>(state.range(0)));
-  const pic::Initializer init(params);
-  auto soa = pic::to_soa(init.create_all());
-  const pic::AlternatingColumnCharges charges;
-  for (auto _ : state) {
-    pic::move_all_soa(soa, params.grid, charges, 1.0);
-    benchmark::DoNotOptimize(soa.x.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(soa.size()));
-}
-BENCHMARK(BM_MoverSoA)->Arg(10000)->Arg(100000);
 
 void BM_MoverSlabCharges(benchmark::State& state) {
   const auto params = bench_params(512, 100000);
@@ -210,6 +196,7 @@ int run_json_mode(const std::string& path) {
   auto aos = init.create_all();
   auto aos_slab = init.create_all();
   auto soa = pic::to_soa(init.create_all());
+  pic::TileIndex tiles(pic::CellRegion{0, params.grid.cells, 0, params.grid.cells});
 
   std::vector<util::JsonObject> cases;
   cases.push_back(time_kernel("mover_aos_reference", aos_ref.size(), kPasses, [&] {
@@ -221,8 +208,8 @@ int run_json_mode(const std::string& path) {
   cases.push_back(time_kernel("mover_aos_slab", aos_slab.size(), kPasses, [&] {
     pic::move_all(std::span<pic::Particle>(aos_slab), params.grid, slab, 1.0);
   }));
-  cases.push_back(time_kernel("mover_soa", soa.size(), kPasses, [&] {
-    pic::move_all_soa(soa, params.grid, charges, 1.0);
+  cases.push_back(time_kernel("mover_tiled", soa.size(), kPasses, [&] {
+    pic::move_all_tiled(soa, tiles, params.grid, charges, 1.0);
   }));
 
   util::JsonObject config;

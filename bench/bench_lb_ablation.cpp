@@ -12,7 +12,6 @@
 #include "comm/world.hpp"
 #include "common.hpp"
 #include "par/diffusion.hpp"
-#include "par/irregular.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -140,58 +139,6 @@ void two_phase_ablation() {
   table.print(std::cout);
 }
 
-void irregular_vs_rectangular() {
-  // (e) The §IV-B alternative the paper rejected, measured: the
-  // 8-neighbor irregular scheme balances too, but its subdomains
-  // fragment (growing perimeter ⇒ irregular communication), while the
-  // rectangular two-phase scheme keeps the Cartesian product structure.
-  std::cout << "--- (e) irregular 8-neighbor scheme vs rectangular diffusion "
-               "(real drivers, 4 ranks) ---\n";
-  par::RunConfig cfg;
-  cfg.init.grid = pic::GridSpec(64, 1.0);
-  cfg.init.total_particles = 20000;
-  cfg.init.distribution = pic::Geometric{0.9};
-  cfg.steps = 200;
-  cfg.sample_every = 10;
-
-  par::DriverResult rect;
-  par::IrregularResult irr;
-  comm::World world(4);
-  world.run([&](comm::Comm& comm) {
-    par::RunConfig dcfg = cfg;
-    dcfg.lb.strategy = "diffusion:threshold=0.05,border=4";
-    dcfg.lb.every = 4;
-    const auto r = par::run_diffusion(comm, dcfg);
-    par::IrregularParams ip;
-    ip.frequency = 4;
-    ip.threshold = 0.05;
-    ip.quota = 16;
-    const auto i = par::run_irregular(comm, cfg, ip);
-    if (comm.rank() == 0) {
-      rect = r;
-      irr = i;
-    }
-  });
-  auto mean = [](const std::vector<double>& v) {
-    double s = 0;
-    for (double x : v) s += x;
-    return v.empty() ? 1.0 : s / static_cast<double>(v.size());
-  };
-  util::Table table({"scheme", "verified", "avg imbalance", "final perimeter (cells)"});
-  table.add_row({"rectangular diffusion", rect.ok ? "yes" : "NO",
-                 util::Table::fmt(mean(rect.imbalance_series), 2),
-                 "rectangular (bounded)"});
-  table.add_row({"irregular 8-neighbor", irr.driver.ok ? "yes" : "NO",
-                 util::Table::fmt(mean(irr.driver.imbalance_series), 2),
-                 util::Table::fmt_u64(static_cast<std::uint64_t>(irr.final_perimeter)) +
-                     " (from " +
-                     util::Table::fmt_u64(
-                         static_cast<std::uint64_t>(irr.initial_perimeter)) +
-                     ")"});
-  table.print(std::cout);
-  std::cout << '\n';
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -205,6 +152,5 @@ int main(int argc, char** argv) {
   balancer_shootout(steps);
   hinted_balancer_at_scale(steps);
   two_phase_ablation();
-  irregular_vs_rectangular();
   return 0;
 }

@@ -22,7 +22,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "comm/comm.hpp"
@@ -164,41 +163,12 @@ std::uint64_t route_particles(OwnerFn&& owner_of, int me, int destinations,
   return static_cast<std::uint64_t>(n) - keepers;
 }
 
-/// Flat-buffer rank exchange for arbitrary ownership: `owner_of(x, y)`
-/// maps a position to its rank. route_particles, then one
+/// The rank exchange: route_particles over block owners, then one
 /// `Comm::alltoallv` of the packed groups, then the immigrants are
-/// appended to the store. Post-condition: owner_of(p) == my rank for
-/// every particle kept. The result order is deterministic: keepers
-/// first in their original order, then immigrants in ascending
-/// source-rank order — so a TileIndex over the store survives (the
-/// immigrants land in its tail).
-template <typename OwnerFn>
-ExchangeStats exchange_particles_by(comm::Comm& comm, OwnerFn&& owner_of,
-                                    pic::ParticleSoA& mine, pic::TileIndex* tiles,
-                                    ExchangeBuffers& buffers) {
-  ExchangeStats stats;
-  stats.sent = route_particles(std::forward<OwnerFn>(owner_of), comm.rank(), comm.size(),
-                               mine, tiles, buffers);
-  stats.bytes = stats.sent * sizeof(pic::Particle);
-
-  buffers.fit(buffers.recv_counts, static_cast<std::size_t>(comm.size()));
-  const std::size_t recv_capacity = buffers.received.capacity();
-  comm.alltoallv(std::span<const pic::Particle>(buffers.packed),
-                 std::span<const std::uint64_t>(buffers.send_counts), buffers.received,
-                 buffers.recv_counts, &buffers.pool);
-  if (buffers.received.capacity() > recv_capacity) buffers.note_growth();
-
-  const std::size_t mine_capacity = mine.capacity();
-  mine.append(std::span<const pic::Particle>(buffers.received));
-  if (mine.capacity() > mine_capacity) buffers.note_growth();
-
-  stats.received = buffers.received.size();
-  buffers.note_traffic(stats);
-  return stats;
-}
-
-/// Routes emigrants in `mine` to their block owners and appends
-/// immigrants; `tiles` may be null. Collective over `comm`.
+/// appended to the store; `tiles` may be null. Collective over `comm`.
+/// The result order is deterministic: keepers first in their original
+/// order, then immigrants in ascending source-rank order — so a
+/// TileIndex over the store survives (the immigrants land in its tail).
 /// Post-condition: every particle in `mine` belongs to this rank's block
 /// (verified exhaustively only under PICPRK_EXPENSIVE_CHECKS builds —
 /// the O(n) sweep would distort release timings).

@@ -13,13 +13,12 @@
 // on x86, so this is the bound that matters). The four corner charges
 // come from a single `corners(cx, cy)` lookup when the charge source
 // supports it (one parity test for the alternating-column pattern, one
-// bounds check for a slab). Every mover — the production tiled SoA
-// mover that serial and the rank-owned drivers run, the flat SoA mover
-// (bench_shared_memory's OpenMP leg) and the AoS oracle move_all —
-// routes through the same inlined per-particle kernel, so results are
-// bit-identical across layouts within a build. The pre-optimization
-// kernel is preserved in namespace `reference` for equivalence tests and
-// the old-vs-new micro-benchmark (bench_hotpath).
+// bounds check for a slab). Both movers — the production tiled SoA
+// mover that serial and the rank-owned drivers run, and the AoS oracle
+// move_all — route through the same inlined per-particle kernel, so
+// results are bit-identical across layouts within a build. The
+// pre-optimization kernel is preserved in namespace `reference` for
+// equivalence tests and the old-vs-new micro-benchmark (bench_hotpath).
 #pragma once
 
 #include <cmath>
@@ -128,8 +127,8 @@ PICPRK_HOT inline void advance(Particle& p, const Force& f, const GridSpec& grid
 }
 
 /// The fused per-particle inner kernel on bare scalars: force + advance.
-/// Every mover (AoS, flat SoA, tiled SoA) routes through this one body,
-/// so the layouts stay bit-identical within a build.
+/// Both movers (AoS, tiled SoA) route through this one body, so the
+/// layouts stay bit-identical within a build.
 template <typename Charges>
 PICPRK_HOT inline void move_scalars(double& x, double& y, double& vx, double& vy, double q,
                          const GridSpec& grid, const Charges& charges, double dt) {
@@ -157,36 +156,11 @@ PICPRK_HOT void move_particle(Particle& p, const GridSpec& grid, const Charges& 
 /// Moves a span of AoS wire records. Not a production hot path — serial
 /// and the drivers run the SoA store through move_all_tiled — but kept
 /// as the layout-equivalence oracle: it routes through the same
-/// move_scalars kernel, so the SoA movers must match it bit-for-bit.
+/// move_scalars kernel, so the tiled SoA mover must match it bit-for-bit.
 template <typename Charges>
 void move_all(std::span<Particle> particles, const GridSpec& grid,
               const Charges& charges, double dt) {
   for (Particle& p : particles) move_particle(p, grid, charges, dt);
-}
-
-/// Flat structure-of-arrays mover: no tile index, so bench_shared_memory
-/// runs it as the flat-OpenMP leg. Iterations are independent, so the
-/// loop carries an `omp simd` hint (honoured by -fopenmp or
-/// -fopenmp-simd builds; harmless otherwise); with OpenMP enabled the
-/// loop is additionally thread-parallel. The body is the
-/// same move_scalars kernel as the AoS movers.
-template <typename Charges>
-PICPRK_HOT void move_all_soa(ParticleSoA& soa, const GridSpec& grid, const Charges& charges, double dt) {
-  const auto n = static_cast<std::int64_t>(soa.size());
-  double* const x = soa.x.data();
-  double* const y = soa.y.data();
-  double* const vx = soa.vx.data();
-  double* const vy = soa.vy.data();
-  const double* const q = soa.q.data();
-#if defined(PICPRK_HAVE_OPENMP)
-#pragma omp parallel for simd schedule(static)
-#else
-#pragma omp simd
-#endif
-  for (std::int64_t i = 0; i < n; ++i) {
-    const auto s = static_cast<std::size_t>(i);
-    move_scalars(x[s], y[s], vx[s], vy[s], q[s], grid, charges, dt);
-  }
 }
 
 /// One tile's unwrapped advance: the autovectorized inner loop of the
@@ -226,8 +200,7 @@ inline constexpr double kRetileTailFraction = 0.25;
 /// vectorized move_tile kernel — GCC vectorizes it at the default
 /// target ISA (the CI vectorization-report job and
 /// tools/check_vectorization.sh pin this) — followed by a scalar
-/// periodic-wrap pass. Results are bit-identical to
-/// move_all/move_all_soa.
+/// periodic-wrap pass. Results are bit-identical to move_all.
 ///
 /// A dirty index is rebuilt first; rows in the index's untiled tail
 /// (immigrants, injected particles, out-of-region residents) go through

@@ -8,10 +8,9 @@
 //  * Particle — the AoS wire record. Trivially copyable; it is what
 //    travels between ranks during particle exchange and VP migration
 //    (comm::alltoallv flat buffers, DriverSnapshot, PUP payloads).
-//  * ParticleSoA — the structure-of-arrays compute store. The movers,
-//    the tiled gather/deposit and the drivers operate on its columns;
-//    records are packed to/from the AoS form only at communication
-//    boundaries.
+//  * ParticleSoA — the structure-of-arrays compute store. The tiled
+//    mover and the drivers operate on its columns; records are packed
+//    to/from the AoS form only at communication boundaries.
 //
 // Adding a field means editing the X-macro once: struct member, SoA
 // column, pack/unpack and PUP all derive from it, and the static_assert

@@ -1,9 +1,8 @@
 // Cell tiling of the SoA particle store: groups the rows of a
 // ParticleSoA into contiguous runs ("tiles") of particles sharing a grid
-// cell, so the mover and the charge gather/deposit can hoist the four
-// corner values of a cell out of the inner loop — a per-tile broadcast
-// instead of a per-particle gather — leaving a straight-line loop body
-// the compiler vectorizes.
+// cell, so the mover can hoist the four corner values of a cell out of
+// the inner loop — a per-tile broadcast instead of a per-particle
+// gather — leaving a straight-line loop body the compiler vectorizes.
 //
 // A full re-sort (counting sort over the cells of a region, permuting
 // all twelve columns) costs more than one tiled move at realistic

@@ -44,11 +44,6 @@ LoadImbalance imbalance(std::span<const double> loads) {
   return r;
 }
 
-LoadImbalance imbalance_u64(std::span<const std::uint64_t> loads) {
-  std::vector<double> d(loads.begin(), loads.end());
-  return imbalance(std::span<const double>(d));
-}
-
 double percentile(std::vector<double> values, double p) {
   // Degenerate samples: the contract used to be a hard precondition on
   // !empty(), which turned every short benchmark run into UB-adjacent

@@ -45,7 +45,6 @@ struct LoadImbalance {
 };
 
 LoadImbalance imbalance(std::span<const double> loads);
-LoadImbalance imbalance_u64(std::span<const std::uint64_t> loads);
 
 /// Percentile with linear interpolation; `p` is clamped into [0,100].
 /// Sorts a copy. Degenerate samples are handled gracefully: an empty

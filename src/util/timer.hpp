@@ -22,26 +22,4 @@ class Timer {
   clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop intervals; used for the
-/// per-phase breakdowns (compute / exchange / load-balance) the drivers
-/// report.
-class PhaseTimer {
- public:
-  void start() { t_.reset(); running_ = true; }
-
-  void stop() {
-    if (running_) {
-      total_ += t_.elapsed();
-      running_ = false;
-    }
-  }
-
-  double total() const { return total_; }
-
- private:
-  Timer t_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
 }  // namespace picprk::util

@@ -1,8 +1,8 @@
 // A work-stealing task pool: the shared-memory counterpart of the
 // paper's dynamic-load-balancing study (§VI names task-based runtimes —
 // Charm++, HPX, X10 — as future comparison targets; this module provides
-// the minimal such runtime so the kernel can be driven by dynamic
-// scheduling instead of ownership migration).
+// the minimal such runtime, on which the svc job server schedules kernel
+// jobs by dynamic scheduling instead of ownership migration).
 //
 // Tasks are indices [0, count). By default they are dealt blockwise to
 // the workers' deques (preserving spatial locality of adjacent tasks);

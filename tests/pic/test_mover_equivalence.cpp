@@ -13,6 +13,7 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "pic/charge.hpp"
@@ -57,6 +58,14 @@ std::vector<pic::Distribution> all_distributions() {
   };
 }
 
+/// The tiled mover re-sorts the store, so its trajectories are
+/// compared with the other movers' by id.
+std::vector<Particle> sorted_by_id(std::vector<Particle> particles) {
+  std::sort(particles.begin(), particles.end(),
+            [](const Particle& a, const Particle& b) { return a.id < b.id; });
+  return particles;
+}
+
 void expect_trajectories_match(const std::vector<Particle>& expected,
                                const std::vector<Particle>& got, double length,
                                const std::string& label) {
@@ -85,18 +94,19 @@ TEST(MoverEquivalence, OptimizedKernelsMatchReferenceOnAllDistributions) {
     auto p_ref = init.create_all();
     auto p_new = init.create_all();
     auto soa = pic::to_soa(init.create_all());
+    pic::TileIndex tiles(pic::CellRegion{0, params.grid.cells, 0, params.grid.cells});
     ASSERT_FALSE(p_ref.empty()) << label;
 
     for (std::uint32_t s = 0; s < kSteps; ++s) {
       pic::reference::move_all(std::span<Particle>(p_ref), params.grid, charges,
                                params.dt);
       pic::move_all(std::span<Particle>(p_new), params.grid, charges, params.dt);
-      pic::move_all_soa(soa, params.grid, charges, params.dt);
+      pic::move_all_tiled(soa, tiles, params.grid, charges, params.dt);
     }
 
     expect_trajectories_match(p_ref, p_new, params.grid.length(), label + "/AoS");
-    expect_trajectories_match(p_ref, pic::to_aos(soa), params.grid.length(),
-                              label + "/SoA");
+    expect_trajectories_match(sorted_by_id(p_ref), sorted_by_id(pic::to_aos(soa)),
+                              params.grid.length(), label + "/tiled");
 
     // Both old and new trajectories must satisfy the closed-form
     // positions (Eqs. 5–6) and the id checksum — equivalence alone could
@@ -111,40 +121,20 @@ TEST(MoverEquivalence, OptimizedKernelsMatchReferenceOnAllDistributions) {
   }
 }
 
-/// The tiled mover re-sorts the store, so trajectories are compared by
-/// id. Equality is EXPECT_EQ on doubles: the tiled kernel must be
+/// Equality is EXPECT_EQ on doubles: the tiled kernel must be
 /// bit-identical to move_all, not merely close (same force expressions,
 /// same advance expression, wrap as a separate pass — see mover.hpp).
 void expect_bit_identical_by_id(std::vector<Particle> expected,
                                 std::vector<Particle> got, const std::string& label) {
   ASSERT_EQ(expected.size(), got.size()) << label;
-  const auto by_id = [](const Particle& a, const Particle& b) { return a.id < b.id; };
-  std::sort(expected.begin(), expected.end(), by_id);
-  std::sort(got.begin(), got.end(), by_id);
+  expected = sorted_by_id(std::move(expected));
+  got = sorted_by_id(std::move(got));
   for (std::size_t i = 0; i < expected.size(); ++i) {
     ASSERT_EQ(expected[i].id, got[i].id) << label << " particle " << i;
     EXPECT_EQ(expected[i].x, got[i].x) << label << " id " << expected[i].id;
     EXPECT_EQ(expected[i].y, got[i].y) << label << " id " << expected[i].id;
     EXPECT_EQ(expected[i].vx, got[i].vx) << label << " id " << expected[i].id;
     EXPECT_EQ(expected[i].vy, got[i].vy) << label << " id " << expected[i].id;
-  }
-}
-
-/// The flat SoA mover (bench_shared_memory's OpenMP leg) runs the same
-/// kernel in store order, so it too must match move_all bit-for-bit.
-TEST(MoveAllSoA, MatchesAoSMover) {
-  const AlternatingColumnCharges charges;
-  for (const auto& dist : all_distributions()) {
-    const InitParams params = base_params(dist);
-    const Initializer init(params);
-    auto aos = init.create_all();
-    auto soa = pic::to_soa(aos);
-    for (std::uint32_t s = 0; s < kSteps; ++s) {
-      pic::move_all(std::span<Particle>(aos), params.grid, charges, params.dt);
-      pic::move_all_soa(soa, params.grid, charges, params.dt);
-    }
-    expect_bit_identical_by_id(aos, pic::to_aos(soa),
-                               pic::distribution_name(dist) + "/flat SoA");
   }
 }
 

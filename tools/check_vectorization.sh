@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
-# Asserts that the hot SoA mover loop actually vectorizes: compiles
-# tools/vec_probe.cpp (which instantiates move_all_tiled / move_all_soa
-# exactly as the drivers do) with the production optimization flags and
-# the compiler's vectorization report turned on, then greps the report
-# for src/pic/mover.hpp. If the compiler stops reporting the loop as
+# Asserts that the tiled SoA mover's hot loop (move_tile) actually
+# vectorizes: compiles tools/vec_probe.cpp (which instantiates the two
+# move_all_tiled specialisations exactly as the drivers do) with the
+# production optimization flags and the compiler's vectorization report
+# turned on, then greps the report for src/pic/mover.hpp. If the
+# compiler stops reporting the loop as
 # vectorized — a regression someone could introduce with one innocent
 # branch or aliasing pointer — this exits non-zero and CI fails.
 #

@@ -1,5 +1,5 @@
 // Vectorization probe: a translation unit that instantiates the
-// production SoA movers exactly as the drivers do, built by
+// production tiled SoA mover exactly as the drivers do, built by
 // tools/check_vectorization.sh (and the CI vectorization-report job)
 // with -fopt-info-vec so the reports can be asserted on. Nothing links
 // against this file; it only has to compile the hot loops.
@@ -13,10 +13,5 @@ template void move_all_tiled<AlternatingColumnCharges>(ParticleSoA&, TileIndex&,
                                                        double);
 template void move_all_tiled<ChargeSlab>(ParticleSoA&, TileIndex&, const GridSpec&,
                                          const ChargeSlab&, double);
-template void move_all_soa<AlternatingColumnCharges>(ParticleSoA&, const GridSpec&,
-                                                     const AlternatingColumnCharges&,
-                                                     double);
-template void move_all_soa<ChargeSlab>(ParticleSoA&, const GridSpec&, const ChargeSlab&,
-                                       double);
 
 }  // namespace picprk::pic
