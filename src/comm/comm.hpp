@@ -5,9 +5,10 @@
 //  * sends are buffered (never block, like MPI_Bsend with enough buffer);
 //  * receives block and match (source|ANY, tag|ANY) in FIFO order per
 //    (source, tag);
-//  * collectives must be called by every rank of the communicator in the
-//    same order;
-//  * Comm::split creates disjoint sub-communicators (MPI_Comm_split).
+//  * collectives must be called by every rank in the same order.
+//
+// There is one communicator, the world: a Comm is rank `rank()`'s
+// endpoint into it, and messages match on (source, tag) alone.
 //
 // All payloads are trivially-copyable element types moved by value between
 // rank-private address spaces — there is no shared-state shortcut, so the
@@ -43,8 +44,6 @@ enum class Op : int {
   Gather,
   Allgather,
   Alltoall,
-  Split,
-  Scan,
   Alltoallv,
   Count_,
 };
@@ -136,18 +135,14 @@ class BufferPool {
 
 class Comm {
  public:
-  /// World communicator over all ranks (context 0). Created by World::run.
-  Comm(WorldState* state, int world_rank);
+  /// Rank `rank`'s endpoint into the world. Created by World::run.
+  Comm(WorldState* state, int rank);
 
   Comm(const Comm&) = delete;
   Comm& operator=(const Comm&) = delete;
-  Comm(Comm&&) = default;
-  Comm& operator=(Comm&&) = default;
 
-  /// Rank within this communicator.
   int rank() const { return rank_; }
-  /// Number of ranks in this communicator.
-  int size() const { return static_cast<int>(group_.size()); }
+  int size() const { return state_->size; }
 
   // ---------------------------------------------------------------- P2P
 
@@ -156,7 +151,7 @@ class Comm {
   void send(std::span<const T> data, int dst, int tag) {
     static_assert(std::is_trivially_copyable_v<T>);
     PICPRK_EXPECTS(tag >= 0);
-    send_bytes(as_bytes_copy(data), dst, tag);
+    send_internal(as_bytes_copy(data), dst, tag);
   }
 
   template <typename T>
@@ -176,15 +171,15 @@ class Comm {
   /// ordinary typed message.
   void send_buffer(std::vector<std::byte>&& bytes, int dst, int tag) {
     PICPRK_EXPECTS(tag >= 0);
-    send_bytes(std::move(bytes), dst, tag);
+    send_internal(std::move(bytes), dst, tag);
   }
 
   /// Blocking receive; the message length determines the element count.
   template <typename T>
   std::vector<T> recv(int src, int tag, Status* status = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Message msg = recv_bytes(src, tag);
-    if (status) *status = Status{group_index(msg.source), msg.tag, msg.payload.size()};
+    Message msg = recv_internal(src, tag);
+    if (status) *status = Status{msg.source, msg.tag, msg.payload.size()};
     return from_bytes<T>(msg.payload);
   }
 
@@ -194,8 +189,8 @@ class Comm {
   template <typename T>
   std::size_t recv_into(std::vector<T>& out, int src, int tag, Status* status = nullptr) {
     static_assert(std::is_trivially_copyable_v<T>);
-    Message msg = recv_bytes(src, tag);
-    if (status) *status = Status{group_index(msg.source), msg.tag, msg.payload.size()};
+    Message msg = recv_internal(src, tag);
+    if (status) *status = Status{msg.source, msg.tag, msg.payload.size()};
     PICPRK_ASSERT_MSG(msg.payload.size() % sizeof(T) == 0,
                       "payload length not a multiple of element size");
     const std::size_t count = msg.payload.size() / sizeof(T);
@@ -210,14 +205,6 @@ class Comm {
     auto v = recv<T>(src, tag, status);
     PICPRK_ASSERT_MSG(v.size() == 1, "recv_value expected exactly one element");
     return v.front();
-  }
-
-  /// Buffered-send + blocking-receive pair (cannot deadlock because sends
-  /// are buffered).
-  template <typename T>
-  std::vector<T> sendrecv(std::span<const T> out, int dst, int src, int tag) {
-    send(out, dst, tag);
-    return recv<T>(src, tag);
   }
 
   /// Blocking probe: waits for a matching envelope without consuming it.
@@ -235,22 +222,15 @@ class Comm {
   std::optional<std::vector<std::byte>> try_recv_buffer(int src, int tag,
                                                         Status* status = nullptr);
 
-  /// Typed nonblocking receive; the message length determines the count.
-  template <typename T>
-  std::optional<std::vector<T>> try_recv(int src, int tag, Status* status = nullptr) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = try_recv_buffer(src, tag, status);
-    if (!bytes) return std::nullopt;
-    return from_bytes<T>(*bytes);
-  }
-
   /// Nonblocking receive of exactly one value.
   template <typename T>
   std::optional<T> try_recv_value(int src, int tag, Status* status = nullptr) {
-    auto v = try_recv<T>(src, tag, status);
-    if (!v) return std::nullopt;
-    PICPRK_ASSERT_MSG(v->size() == 1, "try_recv_value expected exactly one element");
-    return v->front();
+    static_assert(std::is_trivially_copyable_v<T>);
+    auto bytes = try_recv_buffer(src, tag, status);
+    if (!bytes) return std::nullopt;
+    auto v = from_bytes<T>(*bytes);
+    PICPRK_ASSERT_MSG(v.size() == 1, "try_recv_value expected exactly one element");
+    return v.front();
   }
 
   /// True while the reliable transport still has retransmit budget for
@@ -412,7 +392,7 @@ class Comm {
     std::vector<std::vector<T>> incoming(static_cast<std::size_t>(size()));
     for (int i = 0; i < size(); ++i) {
       Message msg = recv_internal(kAnySource, tag);
-      auto& slot = incoming[static_cast<std::size_t>(group_index(msg.source))];
+      auto& slot = incoming[static_cast<std::size_t>(msg.source)];
       PICPRK_ASSERT_MSG(slot.empty() || msg.payload.empty(),
                         "alltoall: duplicate message from a source");
       slot = from_bytes<T>(msg.payload);
@@ -454,7 +434,7 @@ class Comm {
                                         : std::vector<std::byte>(sizeof(std::uint64_t));
       const std::uint64_t count = send_counts[static_cast<std::size_t>(dst)];
       std::memcpy(buf.data(), &count, sizeof count);
-      send_bytes(std::move(buf), dst, tag);
+      send_internal(std::move(buf), dst, tag);
     }
     recv_counts.assign(static_cast<std::size_t>(p), 0);
     recv_counts[static_cast<std::size_t>(rank_)] =
@@ -482,7 +462,7 @@ class Comm {
       std::vector<std::byte> buf =
           pool ? pool->acquire(bytes) : std::vector<std::byte>(bytes);
       std::memcpy(buf.data(), send_data.data() + offset, bytes);
-      send_bytes(std::move(buf), dst, tag);
+      send_internal(std::move(buf), dst, tag);
     }
 
     // Deterministic reassembly: sources in ascending rank order, so the
@@ -510,49 +490,7 @@ class Comm {
     }
   }
 
-  /// Inclusive prefix reduction (MPI_Scan): rank r receives
-  /// op(data_0, ..., data_r), element-wise. Hillis–Steele, O(log P)
-  /// rounds; correct for non-commutative ops.
-  template <typename T, typename BinaryOp>
-  std::vector<T> scan(std::span<const T> data, BinaryOp op) {
-    std::vector<T> inclusive;
-    scan_impl(data, op, inclusive, static_cast<std::vector<T>*>(nullptr));
-    return inclusive;
-  }
-
-  /// Exclusive prefix reduction (MPI_Exscan): rank r receives
-  /// op(data_0, ..., data_{r-1}); rank 0 receives nullopt.
-  template <typename T, typename BinaryOp>
-  std::optional<std::vector<T>> exscan(std::span<const T> data, BinaryOp op) {
-    std::vector<T> inclusive;
-    std::vector<T> exclusive;
-    const bool have = scan_impl(data, op, inclusive, &exclusive);
-    if (!have) return std::nullopt;
-    return exclusive;
-  }
-
-  /// Convenience single-value scans.
-  template <typename T, typename BinaryOp>
-  T scan_value(const T& value, BinaryOp op) {
-    return scan(std::span<const T>(&value, 1), op).front();
-  }
-
-  template <typename T, typename BinaryOp>
-  std::optional<T> exscan_value(const T& value, BinaryOp op) {
-    auto v = exscan(std::span<const T>(&value, 1), op);
-    if (!v) return std::nullopt;
-    return v->front();
-  }
-
-  /// Splits this communicator into sub-communicators by `color`; ranks
-  /// with the same color form a group ordered by (key, old rank).
-  Comm split(int color, int key);
-
   // -------------------------------------------------------- diagnostics
-
-  /// Global rank in the world (for logging).
-  int world_rank() const { return world_rank_; }
-  int context() const { return context_; }
 
   /// The world abort flag — lets long-running non-comm code (e.g. an
   /// injected slow-rank stall) observe a shutdown and bail out.
@@ -575,8 +513,6 @@ class Comm {
   void reset_collective_sequences() { seq_.fill(0); }
 
  private:
-  Comm(WorldState* state, int world_rank, int context, std::vector<int> group);
-
   template <typename T>
   static std::vector<std::byte> as_bytes_copy(std::span<const T> data) {
     std::vector<std::byte> bytes(data.size_bytes());
@@ -593,65 +529,22 @@ class Comm {
     return out;
   }
 
-  /// Hillis–Steele prefix reduction. Fills `inclusive`; when `exclusive`
-  /// is non-null also accumulates the exclusive prefix there and returns
-  /// whether this rank has one (false only on rank 0).
-  template <typename T, typename BinaryOp>
-  bool scan_impl(std::span<const T> data, BinaryOp op, std::vector<T>& inclusive,
-                 std::vector<T>* exclusive) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const int tag = next_tag(detail::Op::Scan);
-    inclusive.assign(data.begin(), data.end());
-    bool have_exclusive = false;
-    for (int k = 1; k < size(); k <<= 1) {
-      if (rank_ + k < size()) {
-        send_internal(as_bytes_copy(std::span<const T>(inclusive)), rank_ + k, tag);
-      }
-      if (rank_ - k >= 0) {
-        Message msg = recv_internal(rank_ - k, tag);
-        auto partial = from_bytes<T>(msg.payload);
-        PICPRK_ASSERT_MSG(partial.size() == inclusive.size(),
-                          "scan: mismatched vector lengths across ranks");
-        for (std::size_t i = 0; i < inclusive.size(); ++i) {
-          inclusive[i] = op(partial[i], inclusive[i]);
-        }
-        if (exclusive) {
-          if (!have_exclusive) {
-            *exclusive = partial;
-            have_exclusive = true;
-          } else {
-            for (std::size_t i = 0; i < exclusive->size(); ++i) {
-              (*exclusive)[i] = op(partial[i], (*exclusive)[i]);
-            }
-          }
-        }
-      }
-    }
-    return have_exclusive;
-  }
-
-  /// Index of a world rank within this communicator's group.
-  int group_index(int wrank) const;
-
   int next_tag(detail::Op op) {
     auto& seq = seq_[static_cast<std::size_t>(op)];
     return detail::internal_tag(op, seq++);
   }
 
-  /// dst/src below are ranks *within this communicator*.
-  void send_bytes(std::vector<std::byte> bytes, int dst, int tag);
   void send_internal(std::vector<std::byte> bytes, int dst, int tag);
-  Message recv_bytes(int src, int tag);
   Message recv_internal(int src, int tag);
+
+  /// This rank's mailbox.
+  Mailbox& mailbox() const;
 
   /// World wait params with this Comm's interrupt baseline filled in.
   Mailbox::WaitParams wait_params() const;
 
   WorldState* state_;
-  int world_rank_;
-  int context_;
-  int rank_;                 // my index within group_
-  std::vector<int> group_;   // world ranks of this communicator's members
+  int rank_;
   std::array<int, detail::kNumOps> seq_{};
   /// Last interrupt epoch this rank acknowledged (see mailbox.hpp).
   std::uint64_t interrupt_seen_ = 0;

@@ -23,8 +23,7 @@ void describe_slot(std::ostringstream& os, int rank, const BlockedSlot& slot) {
   } else if (kind == 0) {
     os << "running (not blocked)";
   } else {
-    os << "blocked in " << (kind == 1 ? "recv" : "probe") << "(context="
-       << slot.context.load(std::memory_order_relaxed) << ", source=";
+    os << "blocked in " << (kind == 1 ? "recv" : "probe") << "(source=";
     const int src = slot.source.load(std::memory_order_relaxed);
     if (src == kAnySource) {
       os << "ANY";
@@ -78,14 +77,12 @@ void World::run(const std::function<void(Comm&)>& rank_main) {
   // Mailboxes must be empty between runs: a correct program consumes
   // everything it is sent, and leftovers would corrupt message matching
   // in this run. (After an abort the previous run() already drained.)
-  if (state_->options.check_clean_mailboxes) {
-    for (int r = 0; r < size_; ++r) {
-      const std::size_t queued = state_->boxes[static_cast<std::size_t>(r)]->queued();
-      PICPRK_ASSERT_MSG(queued == 0,
-                        "World::run entered with " + std::to_string(queued) +
-                            " undelivered message(s) in rank " + std::to_string(r) +
-                            "'s mailbox — the previous run leaked messages");
-    }
+  for (int r = 0; r < size_; ++r) {
+    const std::size_t queued = state_->boxes[static_cast<std::size_t>(r)]->queued();
+    PICPRK_ASSERT_MSG(queued == 0,
+                      "World::run entered with " + std::to_string(queued) +
+                          " undelivered message(s) in rank " + std::to_string(r) +
+                          "'s mailbox — the previous run leaked messages");
   }
 
   state_->abort.store(false, std::memory_order_release);

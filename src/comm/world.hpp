@@ -49,9 +49,6 @@ struct WorldOptions {
   int deadlock_ms = 0;
   /// Message-level fault injector (not owned; must outlive the World).
   FaultHook* fault_hook = nullptr;
-  /// Verify mailboxes are empty when run() starts (a correct program
-  /// consumes everything it is sent; leftovers are a bug).
-  bool check_clean_mailboxes = true;
   /// Reliable in-band delivery (seq/ack/retransmit); off by default.
   ReliabilityOptions reliable;
 };
@@ -67,8 +64,6 @@ struct WorldState {
   std::vector<BlockedSlot> blocked;
   /// Abort flag set when any rank throws; blocking calls bail out.
   std::atomic<bool> abort{false};
-  /// Allocator for communicator context ids (Comm::split).
-  std::atomic<int> next_context{1};
   /// Total payload bytes pushed through mailboxes (diagnostics).
   std::atomic<std::uint64_t> bytes_sent{0};
   std::atomic<std::uint64_t> messages_sent{0};
@@ -85,22 +80,22 @@ struct WorldState {
   /// unwind into their driver's localized-recovery handler.
   void raise_interrupt();
 
-  /// WaitParams for a blocking call by `world_rank`. The caller (Comm)
+  /// WaitParams for a blocking call by `rank`. The caller (Comm)
   /// fills interrupt_baseline with its last acknowledged epoch.
-  Mailbox::WaitParams wait_params(int world_rank) {
+  Mailbox::WaitParams wait_params(int rank) {
     Mailbox::WaitParams wp;
     wp.abort = &abort;
     wp.deadline = std::chrono::milliseconds(options.timeout_ms);
-    wp.slot = &blocked[static_cast<std::size_t>(world_rank)];
+    wp.slot = &blocked[static_cast<std::size_t>(rank)];
     wp.transport = transport.get();
-    wp.self = world_rank;
+    wp.self = rank;
     wp.interrupt = &interrupt_epoch;
     return wp;
   }
 };
 
 /// Runs `rank_main(comm)` on `size` ranks, each on its own thread, with a
-/// world communicator (context 0) spanning all ranks. Blocks until every
+/// world communicator spanning all ranks. Blocks until every
 /// rank returns. If any rank throws, the world aborts (other ranks'
 /// blocking calls throw WorldAborted) and the first exception is
 /// rethrown to the caller.

@@ -337,7 +337,7 @@ DriverResult run_rank_loop(comm::Comm& comm, const RunConfig& config,
       ++checkpoint_rounds;
     }
     if (config.ft.injector != nullptr) {
-      config.ft.injector->begin_step(comm.world_rank(), step, &comm.abort_flag());
+      config.ft.injector->begin_step(comm.rank(), step, &comm.abort_flag());
     }
 
     tracker.apply(step, block, particles, &tiles);

@@ -44,12 +44,6 @@ PICPRK_HOT inline double wrap(double v, double length) {
   return v;
 }
 
-/// Wraps an integer cell/mesh index into [0, n).
-inline std::int64_t wrap_index(std::int64_t v, std::int64_t n) {
-  std::int64_t r = v % n;
-  return r < 0 ? r + n : r;
-}
-
 /// The L×L periodic mesh. `cells` is the number of cells per dimension
 /// (the paper's c = L/h); it must be even so that the alternating column
 /// charges are consistent across the periodic seam (§III-C: "L must be

@@ -6,7 +6,6 @@
 #include <string>
 #include <thread>
 
-#include "comm/cart.hpp"
 #include "util/assert.hpp"
 #include "util/first_error.hpp"
 #include "util/rng.hpp"
@@ -65,7 +64,7 @@ class TaskDeque {
 
 /// Persistent worker threads plus the per-run dispatch state. Threads
 /// are spawned once at pool construction and park on `cv` between
-/// run() calls (the same generation-ticket scheme as vpr's superstep
+/// runs (the same generation-ticket scheme as vpr's superstep
 /// pool); each run publishes its task function, wakes everyone, and
 /// waits for all workers to report done. The deques are members — not
 /// run-locals — precisely so reuse is auditable: every dispatch ends by
@@ -222,21 +221,6 @@ WorkStealingPool::WorkStealingPool(int workers, const obs::Hooks& hooks)
 }
 
 WorkStealingPool::~WorkStealingPool() = default;
-
-PoolStats WorkStealingPool::run(std::size_t count,
-                                const std::function<void(std::size_t, int)>& fn,
-                                bool allow_steal) {
-  // Blockwise dealing: contiguous task ranges per worker, preserving
-  // the spatial locality of adjacent tasks.
-  std::vector<int> owners(count);
-  for (int w = 0; w < workers_; ++w) {
-    const auto range = comm::block_range(static_cast<std::int64_t>(count), workers_, w);
-    for (std::int64_t t = range.lo; t < range.hi; ++t) {
-      owners[static_cast<std::size_t>(t)] = w;
-    }
-  }
-  return run_placed(count, std::span<const int>(owners), fn, allow_steal);
-}
 
 PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> owners,
                                        const std::function<void(std::size_t, int)>& fn,

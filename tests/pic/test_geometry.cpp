@@ -8,7 +8,6 @@ namespace {
 using picprk::pic::CellRegion;
 using picprk::pic::GridSpec;
 using picprk::pic::wrap;
-using picprk::pic::wrap_index;
 
 TEST(Wrap, IdentityInsideDomain) {
   EXPECT_DOUBLE_EQ(wrap(3.5, 10.0), 3.5);
@@ -33,13 +32,6 @@ TEST(Wrap, ResultAlwaysInRange) {
     EXPECT_GE(r, 0.0) << v;
     EXPECT_LT(r, 10.0) << v;
   }
-}
-
-TEST(WrapIndex, Basic) {
-  EXPECT_EQ(wrap_index(5, 4), 1);
-  EXPECT_EQ(wrap_index(-1, 4), 3);
-  EXPECT_EQ(wrap_index(-5, 4), 3);
-  EXPECT_EQ(wrap_index(3, 4), 3);
 }
 
 TEST(GridSpecTest, BasicProperties) {

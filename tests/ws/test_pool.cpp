@@ -5,17 +5,20 @@
 #include <thread>
 #include <vector>
 
+#include "blockwise.hpp"
 #include "ws/pool.hpp"
 
 namespace {
 
 using picprk::ws::PoolStats;
 using picprk::ws::WorkStealingPool;
+using picprk::ws::testing::blockwise_owners;
 
 TEST(PoolTest, EveryTaskRunsExactlyOnce) {
   WorkStealingPool pool(2);
   std::vector<std::atomic<int>> executed(100);
-  const PoolStats stats = pool.run(100, [&](std::size_t t, int) {
+  const auto owners = blockwise_owners(100, pool.workers());
+  const PoolStats stats = pool.run_placed(100, owners, [&](std::size_t t, int) {
     executed[t].fetch_add(1);
   });
   EXPECT_EQ(stats.tasks, 100u);
@@ -24,7 +27,8 @@ TEST(PoolTest, EveryTaskRunsExactlyOnce) {
 
 TEST(PoolTest, ZeroTasksIsNoop) {
   WorkStealingPool pool(2);
-  const PoolStats stats = pool.run(0, [](std::size_t, int) { FAIL(); });
+  const auto owners = blockwise_owners(0, pool.workers());
+  const PoolStats stats = pool.run_placed(0, owners, [](std::size_t, int) { FAIL(); });
   EXPECT_EQ(stats.tasks, 0u);
   EXPECT_EQ(stats.steals, 0u);
 }
@@ -32,7 +36,8 @@ TEST(PoolTest, ZeroTasksIsNoop) {
 TEST(PoolTest, SingleWorkerRunsInline) {
   WorkStealingPool pool(1);
   int count = 0;
-  const PoolStats stats = pool.run(10, [&](std::size_t, int w) {
+  const auto owners = blockwise_owners(10, pool.workers());
+  const PoolStats stats = pool.run_placed(10, owners, [&](std::size_t, int w) {
     EXPECT_EQ(w, 0);
     ++count;
   });
@@ -45,7 +50,8 @@ TEST(PoolTest, StealingBalancesSkewedTaskCosts) {
   // First half of the tasks is 50x more expensive; the second worker
   // must steal some of them.
   WorkStealingPool pool(2);
-  const PoolStats stats = pool.run(40, [&](std::size_t t, int) {
+  const auto owners = blockwise_owners(40, pool.workers());
+  const PoolStats stats = pool.run_placed(40, owners, [&](std::size_t t, int) {
     const int spins = t < 20 ? 200000 : 4000;
     volatile double x = 1.0;
     for (int i = 0; i < spins; ++i) x = x * 1.0000001;
@@ -59,8 +65,8 @@ TEST(PoolTest, StealingBalancesSkewedTaskCosts) {
 
 TEST(PoolTest, StaticScheduleNeverSteals) {
   WorkStealingPool pool(2);
-  const PoolStats stats = pool.run(
-      40,
+  const PoolStats stats = pool.run_placed(
+      40, blockwise_owners(40, pool.workers()),
       [&](std::size_t t, int) {
         volatile double x = 1.0;
         for (int i = 0; i < (t < 20 ? 100000 : 1000); ++i) x = x * 1.0000001;
@@ -74,17 +80,18 @@ TEST(PoolTest, StaticScheduleNeverSteals) {
 
 TEST(PoolTest, TaskExceptionPropagates) {
   WorkStealingPool pool(2);
-  EXPECT_THROW(pool.run(10,
-                        [](std::size_t t, int) {
-                          if (t == 3) throw std::runtime_error("task boom");
-                        }),
+  EXPECT_THROW(pool.run_placed(10, blockwise_owners(10, pool.workers()),
+                               [](std::size_t t, int) {
+                                 if (t == 3) throw std::runtime_error("task boom");
+                               }),
                std::runtime_error);
 }
 
 TEST(PoolTest, WorkerIndexInRange) {
   WorkStealingPool pool(3);
   std::atomic<bool> ok{true};
-  pool.run(60, [&](std::size_t, int w) {
+  const auto owners = blockwise_owners(60, pool.workers());
+  pool.run_placed(60, owners, [&](std::size_t, int w) {
     if (w < 0 || w >= 3) ok = false;
   });
   EXPECT_TRUE(ok.load());
@@ -93,7 +100,8 @@ TEST(PoolTest, WorkerIndexInRange) {
 TEST(PoolTest, ManyTasksComplete) {
   WorkStealingPool pool(4);
   std::atomic<std::uint64_t> sum{0};
-  const PoolStats stats = pool.run(5000, [&](std::size_t t, int) {
+  const auto owners = blockwise_owners(5000, pool.workers());
+  const PoolStats stats = pool.run_placed(5000, owners, [&](std::size_t t, int) {
     sum.fetch_add(t, std::memory_order_relaxed);
   });
   EXPECT_EQ(sum.load(), 5000ull * 4999 / 2);

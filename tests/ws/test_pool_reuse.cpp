@@ -11,19 +11,22 @@
 #include <stdexcept>
 #include <vector>
 
+#include "blockwise.hpp"
 #include "ws/pool.hpp"
 
 namespace {
 
 using picprk::ws::PoolStats;
 using picprk::ws::WorkStealingPool;
+using picprk::ws::testing::blockwise_owners;
 
 TEST(PoolReuseTest, BackToBackRunsEachCompleteAndStatsStartFromZero) {
   WorkStealingPool pool(3);
   for (int round = 0; round < 5; ++round) {
     std::atomic<std::uint64_t> sum{0};
     const std::size_t count = 90 + static_cast<std::size_t>(round) * 30;
-    const PoolStats stats = pool.run(count, [&](std::size_t t, int) {
+    const auto owners = blockwise_owners(count, pool.workers());
+    const PoolStats stats = pool.run_placed(count, owners, [&](std::size_t t, int) {
       sum.fetch_add(t, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), count * (count - 1) / 2);
@@ -36,16 +39,17 @@ TEST(PoolReuseTest, BackToBackRunsEachCompleteAndStatsStartFromZero) {
 
 TEST(PoolReuseTest, RunAfterTaskExceptionExecutesEverything) {
   WorkStealingPool pool(2);
-  EXPECT_THROW(pool.run(50,
-                        [](std::size_t t, int) {
-                          if (t == 7) throw std::runtime_error("tenant crash");
-                        }),
+  EXPECT_THROW(pool.run_placed(50, blockwise_owners(50, pool.workers()),
+                               [](std::size_t t, int) {
+                                 if (t == 7) throw std::runtime_error("tenant crash");
+                               }),
                std::runtime_error);
   // The failed batch must not leak queued tasks into the next client's
   // run: the second batch executes its own tasks exactly once each.
   std::vector<std::atomic<int>> executed(64);
   const PoolStats stats =
-      pool.run(64, [&](std::size_t t, int) { executed[t].fetch_add(1); });
+      pool.run_placed(64, blockwise_owners(64, pool.workers()),
+                      [&](std::size_t t, int) { executed[t].fetch_add(1); });
   EXPECT_EQ(stats.tasks, 64u);
   for (const auto& e : executed) EXPECT_EQ(e.load(), 1);
 }
@@ -53,13 +57,14 @@ TEST(PoolReuseTest, RunAfterTaskExceptionExecutesEverything) {
 TEST(PoolReuseTest, RepeatedExceptionRoundsStayReusable) {
   WorkStealingPool pool(2);
   for (int round = 0; round < 3; ++round) {
-    EXPECT_THROW(pool.run(30,
-                          [](std::size_t t, int) {
-                            if (t % 10 == 3) throw std::runtime_error("boom");
-                          }),
+    const auto owners = blockwise_owners(30, pool.workers());
+    EXPECT_THROW(pool.run_placed(30, owners,
+                                 [](std::size_t t, int) {
+                                   if (t % 10 == 3) throw std::runtime_error("boom");
+                                 }),
                  std::runtime_error);
     std::atomic<int> count{0};
-    pool.run(30, [&](std::size_t, int) { count.fetch_add(1); });
+    pool.run_placed(30, owners, [&](std::size_t, int) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 30);
   }
 }
@@ -102,7 +107,7 @@ TEST(PoolReuseTest, PlacedRunWithStealingStillRunsEveryTaskOnce) {
 }
 
 TEST(PoolReuseTest, PlacedThenBlockwiseThenPlacedCycles) {
-  // A server interleaving placement-driven cycles with plain runs (two
+  // A server interleaving placement-driven cycles with blockwise runs (two
   // different clients of one pool) must see clean state each time.
   WorkStealingPool pool(2);
   std::vector<int> owners = {1, 1, 0, 0, 1, 0};
@@ -111,7 +116,8 @@ TEST(PoolReuseTest, PlacedThenBlockwiseThenPlacedCycles) {
                   /*allow_steal=*/false);
   EXPECT_EQ(count.load(), 6);
   count.store(0);
-  pool.run(100, [&](std::size_t, int) { count.fetch_add(1); });
+  pool.run_placed(100, blockwise_owners(100, pool.workers()),
+                  [&](std::size_t, int) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 100);
   count.store(0);
   const PoolStats stats = pool.run_placed(

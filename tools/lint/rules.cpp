@@ -100,7 +100,7 @@ const char* const kImpureWords[] = {
 
 /// Member-call name prefixes that mean "talks to the runtime".
 const char* const kCommCallPrefixes[] = {
-    "send", "recv", "probe", "iprobe", "sendrecv",
+    "send", "recv", "probe", "iprobe",
     "allreduce", "alltoallv", "bcast", "barrier", "gather",
 };
 
@@ -676,11 +676,10 @@ void check_tags(const Index& idx, std::vector<Violation>& out) {
     bool templated;
   };
   const Method methods[] = {
-      {"send", 2, 3, false},      {"send_value", 2, 3, false},
-      {"send_buffer", 2, 3, false}, {"sendrecv", 3, 4, false},
-      {"recv_into", 2, 3, false}, {"probe", 1, 2, false},
-      {"iprobe", 1, 2, false},    {"recv", 1, 2, true},
-      {"recv_value", 1, 2, true},
+      {"send", 2, 3, false},        {"send_value", 2, 3, false},
+      {"send_buffer", 2, 3, false}, {"recv_into", 2, 3, false},
+      {"probe", 1, 2, false},       {"iprobe", 1, 2, false},
+      {"recv", 1, 2, true},         {"recv_value", 1, 2, true},
   };
   for (const SourceFile& f : idx.files) {
     if (in_dir(f, "comm")) continue;  // the runtime's own internals
