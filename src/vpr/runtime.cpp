@@ -1,24 +1,19 @@
 #include "vpr/runtime.hpp"
 
 #include <algorithm>
-#include <barrier>
 #include <stdexcept>
-#include <thread>
 
 #include "lb/placement.hpp"
 #include "lb/registry.hpp"
 #include "util/assert.hpp"
-#include "util/first_error.hpp"
 #include "util/log.hpp"
-#include "util/stats.hpp"
-#include "util/thread_annotations.hpp"
 #include "util/timer.hpp"
 
 namespace picprk::vpr {
 
 namespace {
 
-/// VpContext bound to one worker's outbox for one superstep.
+/// VpContext bound to one VP's outbox for one superstep.
 class OutboxContext final : public VpContext {
  public:
   OutboxContext(std::vector<VpMessage>& outbox, int src_vp, std::uint32_t step, int vps)
@@ -41,83 +36,6 @@ class OutboxContext final : public VpContext {
 
 }  // namespace
 
-/// Persistent worker pool: threads are spawned once and parked between
-/// run() calls; each run() dispatches a batch of supersteps. Phases
-/// within a superstep synchronize on a std::barrier. (The first version
-/// of this runtime spawned threads per superstep — measurably wasteful
-/// for the 6,000-step runs of the paper's experiments.)
-struct Runtime::Pool {
-  explicit Pool(Runtime& rt)
-      : runtime(rt), barrier(rt.config_.workers) {
-    threads.reserve(static_cast<std::size_t>(rt.config_.workers));
-    for (int w = 0; w < rt.config_.workers; ++w) {
-      threads.emplace_back([this, w] { worker_loop(w); });
-    }
-  }
-
-  ~Pool() {
-    {
-      util::LockGuard lock(mutex);
-      shutdown = true;
-    }
-    cv.notify_all();
-    for (auto& t : threads) t.join();
-  }
-
-  void dispatch(std::uint32_t first_step, std::uint32_t steps) {
-    {
-      util::LockGuard lock(mutex);
-      job_first_step = first_step;
-      job_steps = steps;
-      done_count = 0;
-      ++generation;
-    }
-    cv.notify_all();
-    {
-      util::LockGuard lock(mutex);
-      while (done_count != runtime.config_.workers) done_cv.wait(mutex);
-    }
-    error.rethrow_if_any();  // clears, so the pool is reusable after a failure
-  }
-
-  void worker_loop(int w) {
-    std::uint64_t my_generation = 0;
-    for (;;) {
-      std::uint32_t first = 0, steps = 0;
-      {
-        util::LockGuard lock(mutex);
-        while (!shutdown && generation <= my_generation) cv.wait(mutex);
-        if (shutdown) return;
-        my_generation = generation;
-        first = job_first_step;
-        steps = job_steps;
-      }
-      for (std::uint32_t s = 0; s < steps; ++s) {
-        runtime.superstep_worker(w, first + s, *this);
-      }
-      {
-        util::LockGuard lock(mutex);
-        ++done_count;
-      }
-      done_cv.notify_all();
-    }
-  }
-
-  Runtime& runtime;
-  std::barrier<> barrier;
-  std::vector<std::thread> threads;
-
-  util::Mutex mutex;
-  util::CondVar cv;       ///< workers wait here for the next job
-  util::CondVar done_cv;  ///< dispatch waits here for batch completion
-  bool shutdown PICPRK_GUARDED_BY(mutex) = false;
-  std::uint64_t generation PICPRK_GUARDED_BY(mutex) = 0;
-  std::uint32_t job_first_step PICPRK_GUARDED_BY(mutex) = 0;
-  std::uint32_t job_steps PICPRK_GUARDED_BY(mutex) = 0;
-  int done_count PICPRK_GUARDED_BY(mutex) = 0;
-  util::FirstError error;  ///< first exception thrown inside a superstep
-};
-
 Runtime::Runtime(RuntimeConfig config, const Factory& factory)
     : config_(config), factory_(factory) {
   PICPRK_EXPECTS(config_.workers >= 1);
@@ -132,7 +50,7 @@ Runtime::Runtime(RuntimeConfig config, const Factory& factory)
   vp_worker_.resize(static_cast<std::size_t>(config_.vps));
   vp_measured_seconds_.assign(static_cast<std::size_t>(config_.vps), 0.0);
   inboxes_.resize(static_cast<std::size_t>(config_.vps));
-  outboxes_.resize(static_cast<std::size_t>(config_.workers));
+  outboxes_.resize(static_cast<std::size_t>(config_.vps));
   for (int v = 0; v < config_.vps; ++v) {
     vps_.push_back(factory_(v));
     PICPRK_ASSERT_MSG(vps_.back() != nullptr, "vp factory returned null");
@@ -164,7 +82,7 @@ Runtime::Runtime(RuntimeConfig config, const Factory& factory)
       lb_invocations_counter_ = &reg.register_counter("vpr/lb_invocations");
     }
   }
-  if (config_.workers > 1) pool_ = std::make_unique<Pool>(*this);
+  pool_ = std::make_unique<ws::WorkStealingPool>(config_.workers);
 }
 
 Runtime::~Runtime() = default;
@@ -189,51 +107,40 @@ void Runtime::rewind(std::uint32_t step) {
 
 void Runtime::run(std::uint32_t steps) {
   util::Timer wall;
-  if (config_.workers == 1) {
-    // Inline path: no pool, no barriers.
-    for (std::uint32_t s = 0; s < steps; ++s) {
-      step_phase(0, current_step_);
-      route_messages();
-      deliver_phase(0);
-      maybe_balance(current_step_);
-      ++current_step_;
-      ++stats_.steps;
-    }
-  } else {
-    pool_->dispatch(current_step_, steps);
-    current_step_ += steps;
-    stats_.steps += steps;
+  for (std::uint32_t s = 0; s < steps; ++s) {
+    const std::uint32_t step = current_step_;
+    // Two placed batches per superstep; routing and LB run on this thread
+    // between them. A one-worker pool runs its batches inline.
+    pool_->run_placed(
+        vps_.size(), vp_worker_, [&](std::size_t v, int) { step_vp(v, step); },
+        /*allow_steal=*/false);
+    route_messages();
+    pool_->run_placed(
+        vps_.size(), vp_worker_, [&](std::size_t v, int) { deliver_vp(v); },
+        /*allow_steal=*/false);
+    maybe_balance(step);
+    ++current_step_;
+    ++stats_.steps;
   }
   stats_.step_seconds += wall.elapsed();
 }
 
-void Runtime::step_phase(int w, std::uint32_t global_step) {
-  auto& outbox = outboxes_[static_cast<std::size_t>(w)];
-  for (int v = 0; v < config_.vps; ++v) {
-    if (vp_worker_[static_cast<std::size_t>(v)] != w) continue;
-    OutboxContext ctx(outbox, v, global_step, config_.vps);
-    // The Phase accumulates into the measured-load vector the balancer
-    // consumes — the telemetry and LB input share one clock read.
-    obs::Phase phase(obs::kPhaseStep, &vp_measured_seconds_[static_cast<std::size_t>(v)],
-                     vp_lanes_.empty() ? nullptr : vp_lanes_[static_cast<std::size_t>(v)],
-                     step_hist_);
-    vps_[static_cast<std::size_t>(v)]->step(ctx);
-  }
+void Runtime::step_vp(std::size_t v, std::uint32_t global_step) {
+  OutboxContext ctx(outboxes_[v], static_cast<int>(v), global_step, config_.vps);
+  // The Phase accumulates into the measured-load vector the balancer
+  // consumes — the telemetry and LB input share one clock read.
+  obs::Phase phase(obs::kPhaseStep, &vp_measured_seconds_[v],
+                   vp_lanes_.empty() ? nullptr : vp_lanes_[v], step_hist_);
+  vps_[v]->step(ctx);
 }
 
-void Runtime::deliver_phase(int w) {
-  for (int v = 0; v < config_.vps; ++v) {
-    if (vp_worker_[static_cast<std::size_t>(v)] != w) continue;
-    auto& inbox = inboxes_[static_cast<std::size_t>(v)];
-    if (inbox.empty()) continue;
-    obs::Phase phase(obs::kPhaseDeliver, nullptr,
-                     vp_lanes_.empty() ? nullptr : vp_lanes_[static_cast<std::size_t>(v)],
-                     deliver_hist_);
-    for (auto& msg : inbox) {
-      vps_[static_cast<std::size_t>(v)]->deliver(msg.src, std::move(msg.payload));
-    }
-    inbox.clear();
-  }
+void Runtime::deliver_vp(std::size_t v) {
+  auto& inbox = inboxes_[v];
+  if (inbox.empty()) return;
+  obs::Phase phase(obs::kPhaseDeliver, nullptr,
+                   vp_lanes_.empty() ? nullptr : vp_lanes_[v], deliver_hist_);
+  for (auto& msg : inbox) vps_[v]->deliver(msg.src, std::move(msg.payload));
+  inbox.clear();
 }
 
 void Runtime::maybe_balance(std::uint32_t global_step) {
@@ -241,26 +148,6 @@ void Runtime::maybe_balance(std::uint32_t global_step) {
       global_step % config_.lb_interval == 0) {
     run_load_balancer(global_step);
   }
-}
-
-void Runtime::superstep_worker(int w, std::uint32_t global_step, Pool& pool) {
-  auto guarded = [&](auto&& fn) {
-    if (pool.error.failed()) return;
-    try {
-      fn();
-    } catch (...) {
-      pool.error.record_current();
-    }
-  };
-
-  guarded([&] { step_phase(w, global_step); });
-  pool.barrier.arrive_and_wait();
-  if (w == 0) guarded([&] { route_messages(); });
-  pool.barrier.arrive_and_wait();
-  guarded([&] { deliver_phase(w); });
-  pool.barrier.arrive_and_wait();
-  if (w == 0) guarded([&] { maybe_balance(global_step); });
-  pool.barrier.arrive_and_wait();
 }
 
 void Runtime::route_messages() {
@@ -288,7 +175,6 @@ void Runtime::route_messages() {
 }
 
 lb::PlacementInput Runtime::build_placement_input(std::uint32_t global_step,
-                                                  std::vector<double>* worker_load,
                                                   double* total_measured) const {
   lb::PlacementInput input;
   input.metric = config_.use_measured_load ? lb::LoadMetric::kComputeSeconds
@@ -306,9 +192,6 @@ lb::PlacementInput Runtime::build_placement_input(std::uint32_t global_step,
                      ? vp_measured_seconds_[static_cast<std::size_t>(v)]
                      : vps_[static_cast<std::size_t>(v)]->load();
     entry.neighbors = vps_[static_cast<std::size_t>(v)]->neighbor_vps();
-    if (worker_load != nullptr) {
-      (*worker_load)[static_cast<std::size_t>(entry.owner)] += entry.load;
-    }
     if (total_measured != nullptr) {
       *total_measured += vp_measured_seconds_[static_cast<std::size_t>(v)];
     }
@@ -357,28 +240,14 @@ void Runtime::run_load_balancer(std::uint32_t global_step) {
   ++stats_.lb_invocations;
   if (lb_invocations_counter_ != nullptr) lb_invocations_counter_->add();
 
-  std::vector<double> worker_load(static_cast<std::size_t>(config_.workers), 0.0);
   double total_measured = 0.0;
-  lb::PlacementInput in =
-      build_placement_input(global_step, &worker_load, &total_measured);
+  lb::PlacementInput in = build_placement_input(global_step, &total_measured);
   if (balancer_->wants_feedback()) {
     // Mean measured compute seconds per worker over the closing interval
     // (single process: trivially identical for every observer).
     in.interval_compute_seconds =
         total_measured / static_cast<double>(config_.workers);
   }
-  // λ over the *live* workers only — a retired worker's permanent zero
-  // would otherwise deflate the mean without describing any real core.
-  std::vector<double> live_load;
-  live_load.reserve(worker_load.size());
-  for (int w = 0; w < config_.workers; ++w) {
-    if (!std::binary_search(dead_workers_.begin(), dead_workers_.end(), w)) {
-      live_load.push_back(worker_load[static_cast<std::size_t>(w)]);
-    }
-  }
-  stats_.imbalance_before_lb.push_back(
-      util::imbalance(std::span<const double>(live_load)).ratio);
-
   // A balancer without degraded support must not see dead workers; fall
   // back to pure evacuation so orphans still leave (the caller is
   // expected to have checked supports_degraded() before relying on
@@ -414,8 +283,7 @@ void Runtime::retire_worker(int worker) {
   // Evacuate immediately through the balancer's degraded path so the
   // next superstep never schedules a VP on the dead worker.
   obs::Phase phase(obs::kPhaseLb, &stats_.lb_seconds, nullptr, lb_hist_);
-  const lb::PlacementInput input =
-      build_placement_input(current_step_, nullptr, nullptr);
+  const lb::PlacementInput input = build_placement_input(current_step_, nullptr);
   const std::vector<int> remap = balancer_->supports_degraded()
                                      ? balancer_->rebalance_placement(input)
                                      : lb::evacuate_placement(input);

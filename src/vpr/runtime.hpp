@@ -4,8 +4,13 @@
 // PUP pack/unpack — the execution model of Adaptive MPI that the paper's
 // "ampi" implementation relies on (§IV-C), with F and the degree of
 // over-decomposition d = V/P as the tunables of Figure 5.
+//
+// Each superstep phase is one placed batch on a ws::WorkStealingPool:
+// task v is VP v, dealt to the worker the current placement names, with
+// stealing off so the placement runs verbatim.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -15,6 +20,7 @@
 #include "lb/strategy.hpp"
 #include "obs/phase.hpp"
 #include "vpr/vp.hpp"
+#include "ws/pool.hpp"
 
 namespace picprk::vpr {
 
@@ -52,8 +58,6 @@ struct RuntimeStats {
   std::uint64_t migrated_bytes = 0;
   double step_seconds = 0.0;  ///< wall time of the superstep loop
   double lb_seconds = 0.0;    ///< wall time inside LB + migration
-  /// max/mean worker load sampled just before each LB invocation.
-  std::vector<double> imbalance_before_lb;
 };
 
 class Runtime {
@@ -78,9 +82,6 @@ class Runtime {
   VirtualProcessor& vp(int id);
   int vps() const { return config_.vps; }
 
-  /// Next step run() will execute.
-  std::uint32_t current_step() const { return current_step_; }
-
   /// Rolls the superstep clock back to `step` and discards all pending
   /// (undelivered) messages and partial load measurements — the runtime
   /// half of a checkpoint rollback. The caller is responsible for
@@ -91,14 +92,11 @@ class Runtime {
   /// retires `worker` from the live set and immediately re-places its
   /// VPs through the balancer's degraded path (fallback: pure
   /// evacuation onto the least-loaded survivor). Subsequent LB rounds
-  /// plan over the shrunken live set; the retired worker thread keeps
-  /// participating in barriers but runs no VPs. Call between run()
-  /// invocations, after restoring VP state. At least one worker must
-  /// stay live.
+  /// plan over the shrunken live set; the retired worker's pool thread
+  /// is dealt no VP tasks. Call between run() invocations, after
+  /// restoring VP state. At least one worker must stay live.
   void retire_worker(int worker);
 
-  /// Workers retired so far, sorted ascending.
-  const std::vector<int>& dead_workers() const { return dead_workers_; }
   int live_workers() const {
     return config_.workers - static_cast<int>(dead_workers_.size());
   }
@@ -110,16 +108,12 @@ class Runtime {
   }
 
  private:
-  struct Pool;  ///< persistent worker threads, parked between run() calls
-
-  void step_phase(int worker, std::uint32_t global_step);
-  void deliver_phase(int worker);
+  void step_vp(std::size_t v, std::uint32_t global_step);
+  void deliver_vp(std::size_t v);
   void maybe_balance(std::uint32_t global_step);
-  void superstep_worker(int worker, std::uint32_t global_step, Pool& pool);
   void route_messages();
   void run_load_balancer(std::uint32_t global_step);
   lb::PlacementInput build_placement_input(std::uint32_t global_step,
-                                           std::vector<double>* worker_load,
                                            double* total_measured) const;
   double apply_placement(const lb::PlacementInput& input,
                          const std::vector<int>& remap);
@@ -134,7 +128,7 @@ class Runtime {
   // Telemetry handles, registered once at construction (null when
   // config_.obs is inactive). Lanes are per VP; a VP's lane is written
   // only by the worker currently running it, and ownership changes only
-  // at LB barriers.
+  // between batches, when the balancer runs.
   std::vector<obs::TraceLane*> vp_lanes_;
   obs::Histogram* step_hist_ = nullptr;
   obs::Histogram* deliver_hist_ = nullptr;
@@ -145,11 +139,14 @@ class Runtime {
   obs::Counter* migrations_counter_ = nullptr;
   obs::Counter* migrated_bytes_counter_ = nullptr;
   obs::Counter* lb_invocations_counter_ = nullptr;
-  std::vector<std::vector<VpMessage>> outboxes_;  ///< per worker
-  std::vector<std::vector<VpMessage>> inboxes_;   ///< per VP
+  // Per VP, so routing order is VP order whichever worker ran the step.
+  std::vector<std::vector<VpMessage>> outboxes_;
+  std::vector<std::vector<VpMessage>> inboxes_;
   RuntimeStats stats_;
   std::uint32_t current_step_ = 0;
-  std::unique_ptr<Pool> pool_;
+  /// Built without obs hooks: the runtime's own instruments are per VP,
+  /// so the pool adds no ws/* metrics or worker lanes to the run.
+  std::unique_ptr<ws::WorkStealingPool> pool_;
 };
 
 }  // namespace picprk::vpr

@@ -64,11 +64,12 @@ class TaskDeque {
 
 /// Persistent worker threads plus the per-run dispatch state. Threads
 /// are spawned once at pool construction and park on `cv` between
-/// runs (the same generation-ticket scheme as vpr's superstep
-/// pool); each run publishes its task function, wakes everyone, and
-/// waits for all workers to report done. The deques are members — not
-/// run-locals — precisely so reuse is auditable: every dispatch ends by
-/// proving (or restoring, on the error path) "all deques empty".
+/// runs on a generation ticket; each run (a job-server cycle, or one
+/// phase of a vpr superstep) publishes its task function, wakes
+/// everyone, and waits for all workers to report done. The deques are
+/// members — not run-locals — precisely so reuse is auditable: every
+/// dispatch ends by proving (or restoring, on the error path) "all
+/// deques empty".
 struct WorkStealingPool::Shared {
   explicit Shared(WorkStealingPool& p) : pool(p) {
     const auto n = static_cast<std::size_t>(pool.workers_);
@@ -226,10 +227,12 @@ PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> o
                                        const std::function<void(std::size_t, int)>& fn,
                                        bool allow_steal) {
   PICPRK_EXPECTS(owners.size() == count);
+  // Check the whole map before dealing: a bad owner found mid-deal would
+  // leave the tasks before it queued for the next batch.
+  for (const int owner : owners) PICPRK_EXPECTS(owner >= 0 && owner < workers_);
   PoolStats stats;
   stats.tasks = count;
   stats.executed_per_worker.assign(static_cast<std::size_t>(workers_), 0);
-  stats.steals_per_worker.assign(static_cast<std::size_t>(workers_), 0);
   if (count == 0) return stats;
   if (tasks_counter_ != nullptr) tasks_counter_->add(count);
 
@@ -238,7 +241,6 @@ PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> o
     obs::Phase phase("tasks", nullptr,
                      worker_lanes_.empty() ? nullptr : worker_lanes_[0], run_hist_);
     for (std::size_t t = 0; t < count; ++t) {
-      PICPRK_EXPECTS(owners[t] == 0);
       fn(t, 0);
       ++stats.executed_per_worker[0];
     }
@@ -255,7 +257,6 @@ PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> o
   // happened before — including a task exception.
   sh.initial_owner.assign(owners.begin(), owners.end());
   for (std::size_t t = 0; t < count; ++t) {
-    PICPRK_EXPECTS(owners[t] >= 0 && owners[t] < workers_);
     sh.deques[static_cast<std::size_t>(owners[t])].push(t);
   }
   sh.remaining.store(count, std::memory_order_release);
@@ -267,9 +268,7 @@ PoolStats WorkStealingPool::run_placed(std::size_t count, std::span<const int> o
   for (int w = 0; w < workers_; ++w) {
     stats.executed_per_worker[static_cast<std::size_t>(w)] =
         sh.executed_per_worker[static_cast<std::size_t>(w)];
-    stats.steals_per_worker[static_cast<std::size_t>(w)] =
-        sh.steals_per_worker[static_cast<std::size_t>(w)];
-    stats.steals += stats.steals_per_worker[static_cast<std::size_t>(w)];
+    stats.steals += sh.steals_per_worker[static_cast<std::size_t>(w)];
   }
 
   if (sh.error.failed()) {

@@ -5,11 +5,13 @@
 // jobs by dynamic scheduling instead of ownership migration).
 //
 // Tasks are indices [0, count), dealt to the workers' deques by an
-// explicit initial-owner map — the hook the svc job server uses to
-// apply a cross-job lb:: placement before stealing smooths the residue.
-// Each worker pops from the back of its own deque and steals from the
-// front of a random victim when empty — the classic owner-LIFO/thief-FIFO
-// policy.
+// explicit initial-owner map. It is the one task pool of the repo:
+// the svc job server applies a cross-job lb:: placement and lets
+// stealing smooth the residue; the vpr runtime runs each superstep
+// phase as a batch over its VPs, placed by the current VP map, with
+// stealing off. Each worker pops from the back of its own deque and
+// steals from the front of a random victim when empty — the classic
+// owner-LIFO/thief-FIFO policy.
 //
 // The pool is a long-lived, multi-client resource (docs/SERVICE.md):
 // worker threads are spawned once at construction and parked between
@@ -34,9 +36,6 @@ struct PoolStats {
   std::uint64_t tasks = 0;
   std::uint64_t steals = 0;  ///< tasks executed by a non-initial owner
   std::vector<std::uint64_t> executed_per_worker;
-  /// Steals per thief: which workers ran out of local work and raided.
-  /// steals is the sum of this vector.
-  std::vector<std::uint64_t> steals_per_worker;
 };
 
 class WorkStealingPool {
@@ -57,7 +56,8 @@ class WorkStealingPool {
   /// blocks until all complete. Task t is initially dealt to worker
   /// owners[t] — an externally decided placement (e.g. an lb::Strategy
   /// plan over jobs as super-VPs). owners.size() must equal count and
-  /// every entry must be a valid worker id. With allow_steal=false the
+  /// every entry must be a valid worker id; a bad map is rejected before
+  /// any task is dealt or run. With allow_steal=false the
   /// placement is executed verbatim; with stealing, idle workers may
   /// still raid. Exceptions from tasks propagate (first one wins); the
   /// pool drains and stays reusable.

@@ -266,4 +266,145 @@ TEST(Engine, GoldenResultLinesForBaselineAndSerial) {
   }
 }
 
+// ampi pin, recorded through make_engine (the path `picprk --impl ampi`
+// runs) on the same inputs as above plus --workers W --d 3 --lb-every 4:
+// every distribution with and without events on 2 and 4 workers, one
+// kill with `--recover local`, and one kill rolled back to the last
+// checkpoint. The line, the VP migration count (lb_actions) and the
+// migrated bytes (lb_bytes) must all reproduce: they fix the placement
+// every superstep ran under.
+struct AmpiGoldenRun {
+  int workers;
+  GoldenRun run;
+  std::uint64_t lb_actions;
+  std::uint64_t lb_bytes;
+};
+
+const AmpiGoldenRun kAmpiGolden[] = {
+    {2, {"ampi", kUniform, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2994 checksum=4483515 "
+      "expected=4483515 exchanged=23443 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     8, 327520},
+    {2, {"ampi", kUniform, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2497 checksum=4524404 "
+      "expected=4524404 exchanged=23388 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     14, 637040},
+    {2, {"ampi", kGeometric, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2980 checksum=4441690 "
+      "expected=4441690 exchanged=22944 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     14, 556800},
+    {2, {"ampi", kGeometric, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2490 checksum=4499236 "
+      "expected=4499236 exchanged=22982 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     10, 371168},
+    {2, {"ampi", kSinusoidal, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2964 checksum=4394130 "
+      "expected=4394130 exchanged=23203 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     16, 694080},
+    {2, {"ampi", kSinusoidal, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2479 checksum=4459853 "
+      "expected=4459853 exchanged=23181 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     16, 627392},
+    {2, {"ampi", kLinear, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2975 checksum=4426800 "
+      "expected=4426800 exchanged=23256 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     14, 583936},
+    {2, {"ampi", kLinear, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2487 checksum=4488478 "
+      "expected=4488478 exchanged=23212 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     18, 706736},
+    {2, {"ampi", kPatch, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2998 checksum=4495501 "
+      "expected=4495501 exchanged=23760 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     15, 651000},
+    {2, {"ampi", kPatch, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2499 checksum=4531611 "
+      "expected=4531611 exchanged=23643 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     13, 610024},
+    {4, {"ampi", kUniform, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2994 checksum=4483515 "
+      "expected=4483515 exchanged=31148 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     50, 1043416},
+    {4, {"ampi", kUniform, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2497 checksum=4524404 "
+      "expected=4524404 exchanged=31044 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     49, 1050288},
+    {4, {"ampi", kGeometric, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2980 checksum=4441690 "
+      "expected=4441690 exchanged=31009 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     46, 910376},
+    {4, {"ampi", kGeometric, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2490 checksum=4499236 "
+      "expected=4499236 exchanged=30904 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     47, 953480},
+    {4, {"ampi", kSinusoidal, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2964 checksum=4394130 "
+      "expected=4394130 exchanged=30833 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     39, 786928},
+    {4, {"ampi", kSinusoidal, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2479 checksum=4459853 "
+      "expected=4459853 exchanged=30772 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     45, 951648},
+    {4, {"ampi", kLinear, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2975 checksum=4426800 "
+      "expected=4426800 exchanged=30949 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     44, 900048},
+    {4, {"ampi", kLinear, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2487 checksum=4488478 "
+      "expected=4488478 exchanged=30871 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     38, 767536},
+    {4, {"ampi", kPatch, false, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2998 checksum=4495501 "
+      "expected=4495501 exchanged=31349 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     42, 896360},
+    {4, {"ampi", kPatch, true, 0, false, "",
+      "RESULT impl=ampi status=pass particles=2499 checksum=4531611 "
+      "expected=4531611 exchanged=31243 checkpoints=0 checkpoint_bytes=0 "
+      "recoveries=0 localized=0 replayed=0"},
+     41, 849880},
+    {4, {"ampi", kGeometric, true, 1, true, "kill:rank=5,step=15",
+      "RESULT impl=ampi status=pass particles=2490 checksum=4499236 "
+      "expected=4499236 exchanged=30904 checkpoints=25 checkpoint_bytes=12475840 "
+      "recoveries=1 localized=1 replayed=0"},
+     49, 990448},
+    {2, {"ampi", kSinusoidal, true, 6, false, "kill:rank=2,step=15",
+      "RESULT impl=ampi status=pass particles=2479 checksum=4459853 "
+      "expected=4459853 exchanged=23181 checkpoints=5 checkpoint_bytes=2589120 "
+      "recoveries=1 localized=0 replayed=0"},
+     16, 627392},
+};
+
+TEST(Engine, GoldenResultLinesForAmpi) {
+  for (const AmpiGoldenRun& golden : kAmpiGolden) {
+    SCOPED_TRACE(golden.run.result);
+    RunConfig cfg = golden_config(golden.run);
+    cfg.workers = golden.workers;
+    cfg.overdecomposition = 3;
+    cfg.lb.every = 4;
+    const RunReport report = make_engine(cfg)->run();
+    EXPECT_EQ(without_seconds(report.result_line()), golden.run.result);
+    EXPECT_EQ(report.result.lb_actions, golden.lb_actions);
+    EXPECT_EQ(report.result.lb_bytes, golden.lb_bytes);
+  }
+}
+
 }  // namespace

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <numeric>
@@ -170,16 +171,22 @@ TEST(RuntimeTest, SingleWorkerInlinePath) {
   });
 }
 
-TEST(RuntimeTest, ImbalanceRecordedBeforeLb) {
-  Runtime rt(make_config(2, 4, /*interval=*/2), [](int id) {
+TEST(RuntimeTest, RetiredWorkerRunsNoVpsAndEveryVpKeepsStepping) {
+  Runtime rt(make_config(3, 6), [](int id) {
     auto vp = std::make_unique<RingVp>(id);
-    vp->vps_hint_ = 4;
-    vp->weight_ = id == 0 ? 10.0 : 1.0;
+    vp->vps_hint_ = 6;
     return vp;
   });
+  rt.run(2);
+  rt.retire_worker(1);
+  EXPECT_EQ(rt.live_workers(), 2);
+  for (int v = 0; v < rt.vps(); ++v) EXPECT_NE(rt.worker_of(v), 1) << "vp " << v;
   rt.run(3);
-  ASSERT_FALSE(rt.stats().imbalance_before_lb.empty());
-  EXPECT_GT(rt.stats().imbalance_before_lb.front(), 1.0);
+  for (int v = 0; v < rt.vps(); ++v) EXPECT_NE(rt.worker_of(v), 1) << "vp " << v;
+  rt.for_each_vp([](VirtualProcessor& vp) {
+    EXPECT_EQ(static_cast<RingVp&>(vp).steps_, 5u);
+    EXPECT_EQ(static_cast<RingVp&>(vp).messages_, 5u);
+  });
 }
 
 TEST(RuntimeTest, VpExceptionPropagates) {
@@ -193,6 +200,37 @@ TEST(RuntimeTest, VpExceptionPropagates) {
   };
   Runtime rt(make_config(2, 2), [](int id) { return std::make_unique<ThrowingVp>(id); });
   EXPECT_THROW(rt.run(1), std::runtime_error);
+
+  // VP 1 throws on its first step only. The failed superstep must leave
+  // the runtime reusable: rewind + run completes every VP step, as
+  // ampi's checkpoint rollback needs.
+  class FlakyVp final : public VirtualProcessor {
+   public:
+    FlakyVp(int id, std::shared_ptr<std::atomic<bool>> armed)
+        : VirtualProcessor(id), armed_(std::move(armed)) {}
+    void step(VpContext&) override {
+      if (id() == 1 && armed_->exchange(false)) throw std::runtime_error("vp boom once");
+      ++steps_;
+    }
+    void deliver(int, std::vector<std::byte>) override {}
+    double load() const override { return 1.0; }
+    void pup(Pup& p) override { p(steps_); }
+    std::uint64_t steps_ = 0;
+
+   private:
+    std::shared_ptr<std::atomic<bool>> armed_;
+  };
+  auto armed = std::make_shared<std::atomic<bool>>(true);
+  Runtime flaky(make_config(2, 4),
+                [armed](int id) { return std::make_unique<FlakyVp>(id, armed); });
+  EXPECT_THROW(flaky.run(1), std::runtime_error);
+  flaky.rewind(0);
+  flaky.for_each_vp([](VirtualProcessor& vp) { static_cast<FlakyVp&>(vp).steps_ = 0; });
+  flaky.run(3);
+  EXPECT_EQ(flaky.stats().steps, 3u);
+  flaky.for_each_vp([](VirtualProcessor& vp) {
+    EXPECT_EQ(static_cast<FlakyVp&>(vp).steps_, 3u);
+  });
 }
 
 TEST(RuntimeTest, MoreVpsThanWorkersRequired) {

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "blockwise.hpp"
+#include "util/assert.hpp"
 #include "ws/pool.hpp"
 
 namespace {
@@ -126,6 +127,33 @@ TEST(PoolReuseTest, PlacedThenBlockwiseThenPlacedCycles) {
   EXPECT_EQ(count.load(), 6);
   EXPECT_EQ(stats.executed_per_worker[0], 3u);
   EXPECT_EQ(stats.executed_per_worker[1], 3u);
+}
+
+TEST(PoolReuseTest, RejectedPlacementLeavesNoTasksForTheNextBatch) {
+  // The bad owner comes after two valid ones: the whole map must be
+  // rejected before any task is dealt, or the next batch runs leftovers
+  // from this one.
+  WorkStealingPool pool(2);
+  const std::vector<int> bad = {0, 0, 5};
+  EXPECT_THROW(pool.run_placed(3, bad, [](std::size_t, int) {}),
+               picprk::ContractViolation);
+  // Stealing off, as the vpr runtime dispatches: leftovers would then
+  // run on their stale worker and trip the pool's task-count checks.
+  std::atomic<int> calls_in_range{0}, calls_out_of_range{0};
+  const PoolStats stats = pool.run_placed(
+      1, std::vector<int>{1},
+      [&](std::size_t t, int) { (t == 0 ? calls_in_range : calls_out_of_range).fetch_add(1); },
+      /*allow_steal=*/false);
+  EXPECT_EQ(stats.tasks, 1u);
+  EXPECT_EQ(calls_in_range.load(), 1);
+  EXPECT_EQ(calls_out_of_range.load(), 0);
+
+  WorkStealingPool inline_pool(1);
+  int calls = 0;
+  EXPECT_THROW(inline_pool.run_placed(3, std::vector<int>{0, 0, 1},
+                                      [&](std::size_t, int) { ++calls; }),
+               picprk::ContractViolation);
+  EXPECT_EQ(calls, 0);  // nothing runs before the bad owner is found
 }
 
 TEST(PoolReuseTest, SingleWorkerPlacedRunsInline) {
