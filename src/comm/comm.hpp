@@ -183,6 +183,14 @@ class Comm {
     return from_bytes<T>(msg.payload);
   }
 
+  /// Zero-copy blocking receive: moves the payload out of the mailbox,
+  /// the receive-side counterpart of `send_buffer`.
+  std::vector<std::byte> recv_buffer(int src, int tag, Status* status = nullptr) {
+    Message msg = recv_internal(src, tag);
+    if (status) *status = Status{msg.source, msg.tag, msg.payload.size()};
+    return std::move(msg.payload);
+  }
+
   /// Blocking receive into a caller-owned vector, reusing its capacity:
   /// the allocation-free counterpart of `recv` for per-step receives.
   /// Returns the number of elements received.

@@ -29,10 +29,9 @@ inline constexpr int kMeshTag = 1000;
 inline constexpr int kCheckpointTag = 1001;
 /// Async engine (par/async): step-stamped particle payloads between VPs.
 inline constexpr int kAsyncParticlesTag = 3001;
-/// Async engine: the Mattern termination-detection token on the rank ring.
+/// Async engine: a rank's end-of-step count envelope to each peer ("you
+/// get k step-s particle messages from me"), the step termination signal.
 inline constexpr int kAsyncTokenTag = 3002;
-/// Async engine: rank 0's step-complete announcement.
-inline constexpr int kAsyncTermTag = 3003;
 /// Async engine: packed VP state moving to a new owner at an LB point.
 inline constexpr int kAsyncMigrateTag = 3004;
 

@@ -6,6 +6,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -29,6 +30,8 @@ namespace {
 
 /// Wire prefix of every kAsyncParticlesTag payload; AoS particle
 /// records follow. The step stamp drives the delivery-eligibility rule.
+/// PicVp leaves header_bytes() free in front of its records, so send()
+/// stamps this in place and the receiver delivers from the same buffer.
 struct WireHeader {
   std::int32_t src_vp = 0;
   std::int32_t dst_vp = 0;
@@ -43,20 +46,16 @@ struct MigrateHeader {
 };
 static_assert(std::is_trivially_copyable_v<MigrateHeader>);
 
-/// Mattern's circulating token: global (sent, received) accumulators
-/// for one step's particle messages. The step stamp matters: rank 0 can
-/// finish step s, compute s+1 and launch the s+1 token while a slow
-/// rank is still draining step s — that rank must park the early token
-/// until its own s+1 counters exist, not fold stale counts into it.
-struct Token {
-  std::uint32_t step = 0;
-  std::uint64_t sent = 0;
-  std::uint64_t received = 0;
-  bool balanced_as(const Token& prev) const {
-    return sent == received && sent == prev.sent && received == prev.received;
-  }
+/// One peer's end-of-step announcement on kAsyncTokenTag: "you get
+/// `messages` step-`step` particle messages from me". The step stamp
+/// matters: a peer that already finished step s may compute s+1 and
+/// announce it while this rank is still draining s; that envelope
+/// counts toward s+1.
+struct CountEnvelope {
+  std::uint64_t step = 0;
+  std::uint64_t messages = 0;
 };
-static_assert(std::is_trivially_copyable_v<Token>);
+static_assert(std::is_trivially_copyable_v<CountEnvelope>);
 
 class AsyncEngine final : public vpr::VpContext {
  public:
@@ -69,6 +68,7 @@ class AsyncEngine final : public vpr::VpContext {
     PICPRK_EXPECTS(comm.size() == config.ranks);
     PICPRK_EXPECTS(config.overdecomposition >= 1);
     owner_.resize(static_cast<std::size_t>(vp_count_));
+    sent_to_.assign(static_cast<std::size_t>(config.ranks), 0);
     vps_.resize(static_cast<std::size_t>(vp_count_));
     inbox_.resize(static_cast<std::size_t>(vp_count_));
     stepped_.assign(static_cast<std::size_t>(vp_count_), 0);
@@ -97,29 +97,27 @@ class AsyncEngine final : public vpr::VpContext {
   // ------------------------------------------------------- VpContext
   void send(int dst_vp, std::vector<std::byte> payload) override {
     PICPRK_EXPECTS(dst_vp >= 0 && dst_vp < vp_count_);
-    exchange_bytes_ += payload.size();
+    PICPRK_EXPECTS(payload.size() >= sizeof(WireHeader));
+    exchange_bytes_ += payload.size() - sizeof(WireHeader);
     const int dst_rank = owner_[static_cast<std::size_t>(dst_vp)];
     if (dst_rank == rank_) {
       if (stepped_[static_cast<std::size_t>(dst_vp)] != 0) {
-        vps_[static_cast<std::size_t>(dst_vp)]->deliver(current_vp_,
-                                                        std::move(payload));
+        vps_[static_cast<std::size_t>(dst_vp)]->deliver_at(
+            current_vp_, std::move(payload), sizeof(WireHeader));
       } else {
-        inbox_[static_cast<std::size_t>(dst_vp)].hold(step_, current_vp_,
-                                                      std::move(payload));
+        inbox_[static_cast<std::size_t>(dst_vp)].hold(
+            step_, current_vp_, std::move(payload), sizeof(WireHeader));
       }
       return;
     }
-    std::vector<std::byte> wire(sizeof(WireHeader) + payload.size());
     const WireHeader h{current_vp_, dst_vp, step_};
-    std::memcpy(wire.data(), &h, sizeof h);
-    if (!payload.empty()) {
-      std::memcpy(wire.data() + sizeof h, payload.data(), payload.size());
-    }
-    comm_.send_buffer(std::move(wire), dst_rank, comm::kAsyncParticlesTag);
-    ++sent_cur_;
+    std::memcpy(payload.data(), &h, sizeof h);
+    comm_.send_buffer(std::move(payload), dst_rank, comm::kAsyncParticlesTag);
+    ++sent_to_[static_cast<std::size_t>(dst_rank)];
   }
   std::uint32_t step() const override { return step_; }
   int vps() const override { return vp_count_; }
+  std::size_t header_bytes() const override { return sizeof(WireHeader); }
 
  private:
   /// Drains every queued particle payload without blocking; early
@@ -139,18 +137,17 @@ class AsyncEngine final : public vpr::VpContext {
         ++recv_cur_;
       } else {
         // A sender can be at most one step ahead: it needed this rank's
-        // token contribution to finish step_, and step_+2 would need a
-        // second termination this rank has not joined.
+        // step_ count envelope to finish step_, and this rank announces
+        // step_+1 only after it has finished step_ itself.
         PICPRK_ASSERT_MSG(h.step == step_ + 1, "async: payload from the far future");
         ++recv_next_;
       }
-      std::vector<std::byte> payload(wire->begin() + sizeof h, wire->end());
-      auto& vp = vps_[static_cast<std::size_t>(h.dst_vp)];
       if (h.step == step_ && stepped_[static_cast<std::size_t>(h.dst_vp)] != 0) {
-        vp->deliver(h.src_vp, std::move(payload));
+        vps_[static_cast<std::size_t>(h.dst_vp)]->deliver_at(h.src_vp, std::move(*wire),
+                                                             sizeof h);
       } else {
         inbox_[static_cast<std::size_t>(h.dst_vp)].hold(h.step, h.src_vp,
-                                                        std::move(payload));
+                                                        std::move(*wire), sizeof h);
       }
       ++got;
     }
@@ -164,68 +161,48 @@ class AsyncEngine final : public vpr::VpContext {
     return got;
   }
 
-  /// Blocks (politely: poll + yield/sleep backoff) until the Mattern
-  /// token proves every step_`-stamped particle message has been
-  /// received — the step boundary, without a collective.
+  /// Takes every queued count envelope off the wire without blocking;
+  /// returns how many it took.
+  std::size_t poll_counts() {
+    std::size_t got = 0;
+    while (auto env = comm_.try_recv_value<CountEnvelope>(comm::kAnySource,
+                                                          comm::kAsyncTokenTag)) {
+      if (env->step == step_) {
+        ++envelopes_cur_;
+        expected_cur_ += env->messages;
+      } else {
+        // Same one-step bound as the particle payloads it announces.
+        PICPRK_ASSERT_MSG(env->step == step_ + 1, "async: count from the far future");
+        ++envelopes_next_;
+        expected_next_ += env->messages;
+      }
+      ++got;
+    }
+    return got;
+  }
+
+  /// Ends step_ without a collective: announces to every peer how many
+  /// step_-stamped particle messages this rank sent it, then blocks
+  /// (politely: event wait + yield/sleep backoff) until it holds every
+  /// peer's announcement and that many step_ messages. One envelope per
+  /// peer per step, in parallel, instead of token rounds on a ring.
   void drain_until_terminated() {
     const int p = comm_.size();
     if (p == 1) return;  // nothing remote can be in flight
+    for (int r = 0; r < p; ++r) {
+      if (r == rank_) continue;
+      comm_.send_value(CountEnvelope{step_, sent_to_[static_cast<std::size_t>(r)]}, r,
+                       comm::kAsyncTokenTag);
+    }
+    if (token_rounds_ != nullptr && rank_ == 0) token_rounds_->add(1);
     const auto deadline = std::chrono::milliseconds(config_.resilience.timeout_ms);
     auto last_progress = std::chrono::steady_clock::now();
     int idle_polls = 0;
-    Token prev{step_, ~0ull, ~0ull};
-    bool terminated = false;
-    const auto forward = [&](Token t) {
-      PICPRK_ASSERT_MSG(t.step == step_, "async: forwarding a stale token");
-      t.sent += sent_cur_;
-      t.received += recv_cur_;
-      comm_.send_value(t, (rank_ + 1) % p, comm::kAsyncTokenTag);
-      if (token_rounds_ != nullptr && rank_ == 0) token_rounds_->add(1);
-    };
-    if (rank_ == 0) {
-      forward(Token{step_});
-    } else if (pending_token_ && pending_token_->step == step_) {
-      // The token that arrived early, while this rank was still
-      // draining the previous step; our counters exist now.
-      forward(*pending_token_);
-      pending_token_.reset();
-    }
-    while (!terminated) {
+    const auto peers = static_cast<std::uint64_t>(p - 1);
+    while (true) {
       bool progress = poll_incoming(/*during_compute=*/false) > 0;
-      if (rank_ == 0) {
-        if (auto tok = comm_.try_recv_value<Token>(p - 1, comm::kAsyncTokenTag)) {
-          progress = true;
-          PICPRK_ASSERT_MSG(tok->step == step_, "async: token returned for a "
-                                                "different step");
-          if (tok->balanced_as(prev)) {
-            // Two consecutive identical balanced rounds: globally quiet.
-            for (int r = 1; r < p; ++r) {
-              comm_.send_value(step_, r, comm::kAsyncTermTag);
-            }
-            terminated = true;
-          } else {
-            prev = *tok;
-            forward(Token{step_});
-          }
-        }
-      } else {
-        if (auto tok = comm_.try_recv_value<Token>(rank_ - 1, comm::kAsyncTokenTag)) {
-          progress = true;
-          if (tok->step == step_) {
-            forward(*tok);
-          } else {
-            // The ring ahead of us is already terminating the next step.
-            PICPRK_ASSERT_MSG(tok->step == step_ + 1 && !pending_token_,
-                              "async: token from the far future");
-            pending_token_ = *tok;
-          }
-        }
-        if (auto term = comm_.try_recv_value<std::uint32_t>(0, comm::kAsyncTermTag)) {
-          PICPRK_ASSERT_MSG(*term == step_, "async: termination for a different step");
-          terminated = true;
-          progress = true;  // skip the idle wait below: we are done
-        }
-      }
+      progress = poll_counts() > 0 || progress;
+      if (envelopes_cur_ == peers && recv_cur_ == expected_cur_) break;
       if (progress) {
         last_progress = std::chrono::steady_clock::now();
         idle_polls = 0;
@@ -246,17 +223,16 @@ class AsyncEngine final : public vpr::VpContext {
       // Nothing ready: block on the mailbox until any envelope arrives
       // instead of yield-spinning. On oversubscribed hosts the spin
       // burns the scheduler quantum the *sender* needs, turning every
-      // token hop into a scheduling round-trip; the condvar wait wakes
+      // announcement into a scheduling round-trip; the condvar wait wakes
       // this rank the moment something lands. The probe honors the
       // world deadline and re-arms it while transport retries are in
       // flight, so fault scenarios still surface CommTimeout.
       const comm::Status st = comm_.probe(comm::kAnySource, comm::kAnyTag);
-      if (st.tag != comm::kAsyncParticlesTag && st.tag != comm::kAsyncTokenTag &&
-          st.tag != comm::kAsyncTermTag) {
+      if (st.tag != comm::kAsyncParticlesTag && st.tag != comm::kAsyncTokenTag) {
         // A rank that already terminated has moved on to a collective
         // (rebalance, sampling); its envelope is not ours to consume
         // and will keep matching the probe. Back off politely until
-        // our own TERM arrives.
+        // our own counts complete.
         if (++idle_polls > 64) {
           std::this_thread::sleep_for(std::chrono::microseconds(50));
         } else {
@@ -319,11 +295,11 @@ class AsyncEngine final : public vpr::VpContext {
       auto& vp = vps_[static_cast<std::size_t>(v)];
       PICPRK_ASSERT_MSG(inbox_[static_cast<std::size_t>(v)].empty(),
                         "async: migrating a VP with parked deliveries");
-      std::vector<std::byte> packed = vpr::pup_pack(*vp);
-      std::vector<std::byte> wire(sizeof(MigrateHeader) + packed.size());
+      // Header and VP state in one exactly-sized buffer, which moves
+      // into the mailbox as it is.
+      std::vector<std::byte> wire = vpr::pup_pack(*vp, sizeof(MigrateHeader));
       const MigrateHeader h{v, step_};
       std::memcpy(wire.data(), &h, sizeof h);
-      std::memcpy(wire.data() + sizeof h, packed.data(), packed.size());
       moved_load += loads[static_cast<std::size_t>(v)];
       event_bytes += wire.size();
       lb_bytes_ += wire.size();
@@ -335,16 +311,14 @@ class AsyncEngine final : public vpr::VpContext {
       const int from = owner_[static_cast<std::size_t>(v)];
       const int to = plan[static_cast<std::size_t>(v)];
       if (to == from || to != rank_) continue;
-      std::vector<std::byte> wire;
-      comm_.recv_into(wire, from, comm::kAsyncMigrateTag);
+      const std::vector<std::byte> wire = comm_.recv_buffer(from, comm::kAsyncMigrateTag);
       MigrateHeader h;
       PICPRK_ASSERT_MSG(wire.size() >= sizeof h, "async: short migration payload");
       std::memcpy(&h, wire.data(), sizeof h);
       PICPRK_ASSERT_MSG(h.vp == v && h.step == step_,
                         "async: migration arrived out of order");
       auto vp = std::make_unique<PicVp>(v, shared_);
-      vpr::pup_unpack(*vp,
-                      std::vector<std::byte>(wire.begin() + sizeof h, wire.end()));
+      vpr::pup_unpack(*vp, std::span<const std::byte>(wire).subspan(sizeof h));
       vps_[static_cast<std::size_t>(v)] = std::move(vp);
     }
     for (int v = 0; v < vp_count_; ++v) {
@@ -388,10 +362,13 @@ class AsyncEngine final : public vpr::VpContext {
   std::unique_ptr<lb::Strategy> balancer_;
   std::uint32_t step_ = 0;
   int current_vp_ = -1;
-  std::optional<Token> pending_token_;  ///< next step's token, arrived early
-  std::uint64_t sent_cur_ = 0;   ///< remote sends stamped step_
-  std::uint64_t recv_cur_ = 0;   ///< remote receipts stamped step_
-  std::uint64_t recv_next_ = 0;  ///< early receipts stamped step_ + 1
+  std::vector<std::uint64_t> sent_to_;  ///< remote sends stamped step_, per rank
+  std::uint64_t recv_cur_ = 0;       ///< remote receipts stamped step_
+  std::uint64_t recv_next_ = 0;      ///< early receipts stamped step_ + 1
+  std::uint64_t expected_cur_ = 0;   ///< step_ messages peers announced
+  std::uint64_t expected_next_ = 0;  ///< step_ + 1 messages announced early
+  std::uint64_t envelopes_cur_ = 0;  ///< peers that announced step_
+  std::uint64_t envelopes_next_ = 0; ///< peers that announced step_ + 1
   std::uint64_t exchange_bytes_ = 0;
   std::uint64_t lb_actions_ = 0;
   std::uint64_t lb_bytes_ = 0;
@@ -425,9 +402,11 @@ DriverResult AsyncEngine::run() {
   util::Timer wall;
   for (step_ = 0; step_ < config_.steps; ++step_) {
     std::fill(stepped_.begin(), stepped_.end(), 0);
-    sent_cur_ = 0;
-    recv_cur_ = recv_next_;  // early arrivals count toward this step
-    recv_next_ = 0;
+    std::fill(sent_to_.begin(), sent_to_.end(), 0);
+    // Early arrivals and announcements count toward this step.
+    recv_cur_ = std::exchange(recv_next_, 0);
+    expected_cur_ = std::exchange(expected_next_, 0);
+    envelopes_cur_ = std::exchange(envelopes_next_, 0);
     {
       obs::Phase phase(obs::kPhaseCompute, &compute_seconds, inst.lane,
                        inst.compute);
@@ -453,6 +432,7 @@ DriverResult AsyncEngine::run() {
       obs::Phase phase(obs::kPhaseWait, &wait_seconds, inst.lane, inst.exchange);
       drain_until_terminated();
     }
+
     if (config_.lb.every > 0 && (step_ + 1) % config_.lb.every == 0 &&
         step_ + 1 < config_.steps) {
       obs::Phase phase(obs::kPhaseLb, &lb_seconds, inst.lane, inst.lb);

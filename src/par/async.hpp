@@ -4,12 +4,14 @@
 // every step. This engine removes both barriers: VPs route emigrant
 // particles the moment they cross a subdomain boundary, arrivals are
 // drained incrementally *while other VPs are still computing*
-// (iexchange-style delivery through vpr::StepInbox), and a step
-// completes via Mattern four-counter distributed termination detection
-// — a (sent, received) token circling the rank ring — instead of a
-// collective. Combined with the `steal` placement strategy the engine
-// both hides exchange latency behind compute and drains the straggler
-// itself; see DESIGN.md "Execution models" for when to pick which loop.
+// (iexchange-style delivery through vpr::StepInbox), and a step ends on
+// each rank by count-based termination instead of a collective: after
+// its compute a rank sends every peer one count envelope ("you get k
+// step-s particle messages from me"), and its step s is over once it
+// holds every peer's envelope and that many step-s messages. Combined
+// with the `steal` placement strategy the engine both hides exchange
+// latency behind compute and drains the straggler itself; see DESIGN.md
+// "Execution models" for when to pick which loop.
 //
 // Verification is unchanged: the engine must reproduce the closed-form
 // trajectory check and the id checksum bit-for-bit on every

@@ -48,28 +48,34 @@ void PicVp::step(vpr::VpContext& ctx) {
   sent_particles_ += route_particles(
       [this](double x, double y) { return shared_->owner_vp(x, y); }, id(),
       shared_->vcart.size(), particles_, &tiles_, route_);
+  // Each payload leaves the context's header bytes free in front of the
+  // records, so a cross-rank transport ships the buffer as it is.
+  const std::size_t header = ctx.header_bytes();
   const pic::Particle* group = route_.packed.data();
   for (std::size_t dst = 0; dst < route_.send_counts.size(); ++dst) {
     const std::uint64_t count = route_.send_counts[dst];
     if (count == 0) continue;
-    std::vector<std::byte> bytes = route_.pool.acquire(count * sizeof(pic::Particle));
-    std::memcpy(bytes.data(), group, bytes.size());
+    const std::size_t body = count * sizeof(pic::Particle);
+    std::vector<std::byte> bytes = route_.pool.acquire(header + body);
+    std::memcpy(bytes.data() + header, group, body);
     ctx.send(static_cast<int>(dst), std::move(bytes));
     group += count;
   }
 }
 
-void PicVp::deliver(int /*src_vp*/, std::vector<std::byte> payload) {
-  PICPRK_ASSERT(payload.size() % sizeof(pic::Particle) == 0);
-  const std::size_t count = payload.size() / sizeof(pic::Particle);
-  if (count > 0) {
-    // Wire records land in the untiled tail; the tile index stays
-    // valid and the next move's flat pass covers them.
-    route_.received.resize(count);
-    std::memcpy(route_.received.data(), payload.data(), payload.size());
-    particles_.append(std::span<const pic::Particle>(route_.received));
-  }
-  route_.pool.release(std::move(payload));  // becomes next step's send staging
+void PicVp::deliver(int src_vp, std::vector<std::byte> payload) {
+  deliver_at(src_vp, std::move(payload), 0);
+}
+
+void PicVp::deliver_at(int /*src_vp*/, std::vector<std::byte> buffer,
+                       std::size_t offset) {
+  PICPRK_ASSERT(buffer.size() >= offset &&
+                (buffer.size() - offset) % sizeof(pic::Particle) == 0);
+  // Wire records land in the untiled tail; the tile index stays valid
+  // and the next move's flat pass covers them.
+  particles_.append_records(buffer.data() + offset,
+                            (buffer.size() - offset) / sizeof(pic::Particle));
+  route_.pool.release(std::move(buffer));  // becomes next step's send staging
 }
 
 std::vector<int> PicVp::neighbor_vps() const {
@@ -104,7 +110,7 @@ void PicVp::pup(vpr::Pup& p) {
       for (std::int64_t i = 0; i < sw; ++i) values.push_back(slab_.at(sx0 + i, sy0 + j));
     p(values);
   }
-  particles_.pup(p);  // stages through the AoS wire form
+  particles_.pup(p);  // rows straight to/from the AoS wire records
   p(removed_id_sum_);
   p(sent_particles_);
   if (p.unpacking()) tiles_.mark_dirty();

@@ -29,13 +29,28 @@ struct PicVpShared {
   pic::EventSchedule events;
   comm::Cart2D vcart;  ///< VP grid (Vx × Vy)
   ft::FtOptions ft;    ///< fault/checkpoint hooks; rank space = VP ids
+  /// Per-cell routing tables: the VP column owning cell column cx, and
+  /// the VP-grid row offset (vy · Vx) owning cell row cy. owner_vp is two
+  /// loads and an add instead of two block_owner divisions per particle.
+  std::vector<std::int32_t> vp_col_of_cell;
+  std::vector<std::int32_t> vp_row_of_cell;
 
   PicVpShared(const DriverConfig& config, int vps)
       : init_params(config.init),
         init(config.init),
         events(config.events),
         vcart(vps),
-        ft(config.ft) {}
+        ft(config.ft) {
+    const std::int64_t cells = init_params.grid.cells;
+    vp_col_of_cell.resize(static_cast<std::size_t>(cells));
+    vp_row_of_cell.resize(static_cast<std::size_t>(cells));
+    for (std::int64_t c = 0; c < cells; ++c) {
+      vp_col_of_cell[static_cast<std::size_t>(c)] =
+          comm::block_owner(cells, vcart.px(), c);
+      vp_row_of_cell[static_cast<std::size_t>(c)] =
+          vcart.rank_of(0, comm::block_owner(cells, vcart.py(), c));
+    }
+  }
 
   pic::CellRegion vp_block(int vp) const {
     const auto [vx, vy] = vcart.coords_of(vp);
@@ -44,12 +59,13 @@ struct PicVpShared {
     return pic::CellRegion{xr.lo, xr.hi, yr.lo, yr.hi};
   }
 
+  /// The VP owning position (x, y): equal to vcart.rank_of(block_owner(
+  /// cells, Vx, cx), block_owner(cells, Vy, cy)) for the cell (cx, cy).
   int owner_vp(double x, double y) const {
     const auto cx = init_params.grid.cell_of(x);
     const auto cy = init_params.grid.cell_of(y);
-    const int vx = comm::block_owner(init_params.grid.cells, vcart.px(), cx);
-    const int vy = comm::block_owner(init_params.grid.cells, vcart.py(), cy);
-    return vcart.rank_of(vx, vy);
+    return vp_col_of_cell[static_cast<std::size_t>(cx)] +
+           vp_row_of_cell[static_cast<std::size_t>(cy)];
   }
 };
 
@@ -64,6 +80,7 @@ class PicVp final : public vpr::VirtualProcessor {
 
   void step(vpr::VpContext& ctx) override;
   void deliver(int src_vp, std::vector<std::byte> payload) override;
+  void deliver_at(int src_vp, std::vector<std::byte> buffer, std::size_t offset) override;
   double load() const override { return static_cast<double>(particles_.size()); }
   std::vector<int> neighbor_vps() const override;
   void pup(vpr::Pup& p) override;
@@ -82,8 +99,9 @@ class PicVp final : public vpr::VirtualProcessor {
   pic::TileIndex tiles_;  // pup:transient — rebuilt from the store after unpack
   std::uint64_t removed_id_sum_ = 0;
   std::uint64_t sent_particles_ = 0;
-  // Routing scratch (route_particles over VP ids, plus the receive side's
-  // staging and the byte-buffer pool): a migrated VP simply re-warms it.
+  // Routing scratch (route_particles over VP ids, plus the byte-buffer
+  // pool that delivered messages return to): a migrated VP simply
+  // re-warms it.
   ExchangeBuffers route_;  // pup:transient
 };
 

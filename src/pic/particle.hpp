@@ -19,6 +19,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <utility>
 #include <vector>
@@ -79,10 +80,11 @@ static_assert(detail::particle_field_bytes() == sizeof(Particle),
 /// Element order is significant (tiling sorts by cell); mutating
 /// operations keep all twelve columns in lockstep.
 struct ParticleSoA {
-  // The columns ARE serialized — pup() stages them through the AoS wire
-  // form — but the textual pup lint cannot see through to_vector() /
-  // assign(), so the declaration carries its opt-out tag.
-#define PICPRK_FIELD(type, name, init) std::vector<type> name;  // pup:transient (wire-staged)
+  // The columns ARE serialized — pup() packs them row by row as AoS wire
+  // records — but the textual pup lint cannot see through
+  // pack_records() / append_records(), so the declaration carries its
+  // opt-out tag.
+#define PICPRK_FIELD(type, name, init) std::vector<type> name;  // pup:transient (wire-packed)
   PICPRK_PARTICLE_FIELDS(PICPRK_FIELD)
 #undef PICPRK_FIELD
 
@@ -178,16 +180,43 @@ struct ParticleSoA {
     return out;
   }
 
-  /// PUP through the AoS wire form: the migration payload is the same
-  /// length-prefixed run of 80-byte records regardless of layout, so a
-  /// VP can be packed from either store. Templated so pic does not
-  /// depend on vpr; any pupper with the vpr::Pup interface works.
+  /// Packs every row as an 80-byte wire record at `out`.
+  void pack_records(std::byte* out) const {
+    for (std::size_t i = 0; i < size(); ++i) {
+      const Particle p = get(i);
+      std::memcpy(out + i * sizeof(Particle), &p, sizeof(Particle));
+    }
+  }
+
+  /// Appends `count` 80-byte wire records read from `records`, which
+  /// need not be aligned (they may sit after a message header).
+  void append_records(const std::byte* records, std::size_t count) {
+    reserve(size() + count);
+    for (std::size_t i = 0; i < count; ++i) {
+      Particle p;
+      std::memcpy(&p, records + i * sizeof(Particle), sizeof(Particle));
+      push_back(p);
+    }
+  }
+
+  /// PUP as the AoS wire form: the migration payload is the same
+  /// length-prefixed run of 80-byte records a std::vector<Particle>
+  /// pups to, regardless of layout. Rows are packed straight into, and
+  /// unpacked straight out of, the pupper's buffer. Templated so pic
+  /// does not depend on vpr; any pupper with the vpr::Pup interface
+  /// works.
   template <typename P>
   void pup(P& p) {
-    std::vector<Particle> wire;
-    if (!p.unpacking()) wire = to_vector();
-    p(wire);
-    if (p.unpacking()) assign(wire);
+    std::uint64_t n = size();
+    p(n);
+    const std::size_t bytes = static_cast<std::size_t>(n) * sizeof(Particle);
+    if (p.unpacking()) {
+      const std::byte* in = p.unpack_window(bytes);
+      clear();
+      append_records(in, static_cast<std::size_t>(n));
+    } else if (std::byte* out = p.pack_window(bytes)) {
+      pack_records(out);
+    }
   }
 };
 

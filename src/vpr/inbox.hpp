@@ -21,9 +21,11 @@ namespace picprk::vpr {
 class StepInbox {
  public:
   /// Parks a payload stamped with the sender's step until the owner has
-  /// computed that step itself.
-  void hold(std::uint32_t step, int src_vp, std::vector<std::byte> payload) {
-    held_.push_back(Held{step, src_vp, std::move(payload)});
+  /// computed that step itself. The message body starts `offset` bytes
+  /// into `buffer`, after the transport's header.
+  void hold(std::uint32_t step, int src_vp, std::vector<std::byte> buffer,
+            std::size_t offset) {
+    held_.push_back(Held{step, src_vp, std::move(buffer), offset});
   }
 
   /// Delivers every payload stamped `step` to `vp` — call immediately
@@ -35,7 +37,7 @@ class StepInbox {
     for (auto& h : held_) {
       PICPRK_ASSERT_MSG(h.step >= step, "StepInbox: payload missed its delivery step");
       if (h.step == step) {
-        vp.deliver(h.src_vp, std::move(h.payload));
+        vp.deliver_at(h.src_vp, std::move(h.buffer), h.offset);
       } else {
         held_[kept++] = std::move(h);
       }
@@ -50,7 +52,8 @@ class StepInbox {
   struct Held {
     std::uint32_t step;
     int src_vp;
-    std::vector<std::byte> payload;
+    std::vector<std::byte> buffer;
+    std::size_t offset;
   };
   std::vector<Held> held_;
 };

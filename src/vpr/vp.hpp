@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "vpr/pup.hpp"
@@ -39,6 +40,13 @@ class VpContext {
 
   /// Total number of VPs.
   virtual int vps() const = 0;
+
+  /// Leading bytes of every send() payload that belong to the transport:
+  /// a VP writes its message body after them, so a transport that ships
+  /// the payload to another rank stamps its header in place instead of
+  /// copying the body into a fresh buffer. The receiver gets the whole
+  /// buffer through VirtualProcessor::deliver_at.
+  virtual std::size_t header_bytes() const { return 0; }
 };
 
 class VirtualProcessor {
@@ -56,6 +64,16 @@ class VirtualProcessor {
 
   /// Receives one message (delivery phase of the superstep).
   virtual void deliver(int src_vp, std::vector<std::byte> payload) = 0;
+
+  /// Receives one message whose body starts `offset` bytes into
+  /// `buffer`, after a transport header. The default strips the header
+  /// and calls deliver(); a VP that recycles its message buffers
+  /// overrides this to keep the whole allocation.
+  virtual void deliver_at(int src_vp, std::vector<std::byte> buffer,
+                          std::size_t offset) {
+    buffer.erase(buffer.begin(), buffer.begin() + static_cast<std::ptrdiff_t>(offset));
+    deliver(src_vp, std::move(buffer));
+  }
 
   /// Abstract load of this VP for the balancer (e.g. particle count).
   /// The runtime can be configured to use measured wall time instead.

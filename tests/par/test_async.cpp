@@ -1,6 +1,6 @@
 // The async engine's correctness contract: removing both per-step
-// barriers (incremental iexchange delivery + Mattern four-counter
-// termination) must change *nothing* observable about the physics. For
+// barriers (incremental iexchange delivery + count-based step
+// termination: one count envelope per peer per step) must change *nothing* observable about the physics. For
 // every §III-E distribution and every population-event case, the
 // engine must reproduce the serial reference's final particle count and
 // id checksum bit-for-bit — the same bar the sync drivers clear in
@@ -99,8 +99,8 @@ TEST(Async, CollectiveFormAgreesOnAllRanks) {
 
 // Termination detection must not hinge on every rank having traffic: a
 // patch crammed into one corner leaves most ranks (and their VPs) with
-// zero particles, so their (sent, received) contributions stay (0, 0)
-// every step. The token ring must still complete each step promptly.
+// zero particles, so they announce zero messages to every peer each
+// step. Every rank must still end each step promptly.
 TEST(Async, ZeroParticleRanksTerminate) {
   RunConfig cfg = async_config(4, matrix::Events::kNone);
   cfg.init.distribution = picprk::pic::Patch{CellRegion{0, 4, 0, 4}};
@@ -136,6 +136,21 @@ TEST(Async, RecordsOverlapTelemetry) {
   }
   // Every remote arrival is accounted to exactly one of the two paths.
   EXPECT_GT(overlap + drain, 0u);
+}
+
+// Step termination costs one round of count envelopes per step, whatever
+// the traffic: async/token_rounds counts exactly one per step.
+TEST(Async, OneTerminationRoundPerStep) {
+  picprk::obs::Registry registry;
+  RunConfig cfg = async_config(1, matrix::Events::kNone);
+  cfg.obs.registry = &registry;
+  const DriverResult r = run_async(cfg);
+  ASSERT_TRUE(r.ok);
+  std::uint64_t rounds = 0;
+  for (const auto& c : registry.counters()) {
+    if (c.name == "async/token_rounds") rounds = c.value;
+  }
+  EXPECT_EQ(rounds, cfg.steps);
 }
 
 }  // namespace

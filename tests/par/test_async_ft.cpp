@@ -1,7 +1,7 @@
 // Nonblocking progress under message faults: the async engine's drain
 // loop never blocks in a recv, so every retransmit/dedup/late-delivery
 // path of the transport stack is exercised through try_recv polling
-// plus the termination token. Delay faults must be absorbed outright;
+// plus the per-step count envelopes. Delay faults must be absorbed outright;
 // drop and duplicate faults must heal through the reliable transport
 // (whose pump thread retransmits independently of the engine); a total
 // blackout without the transport must surface as a CommTimeout instead
@@ -63,8 +63,8 @@ TEST(AsyncFt, DelayedMessagesVerifyWithoutTransport) {
   EXPECT_EQ(r.verification.id_checksum, ref);
 }
 
-// Dropped payloads (and dropped termination tokens) heal via seq/ack
-// retransmission; the four counters must not double-count the replays.
+// Dropped payloads (and dropped count envelopes) heal via seq/ack
+// retransmission; the receipt counts must not double-count the replays.
 TEST(AsyncFt, DroppedMessagesHealThroughReliableTransport) {
   RunConfig cfg = faulted_config();
   cfg.resilience.plan = FaultPlan::parse("drop:prob=0.2", /*seed=*/13);
@@ -78,8 +78,9 @@ TEST(AsyncFt, DroppedMessagesHealThroughReliableTransport) {
 }
 
 // Duplicates must be absorbed by the receiver's dedup window — an
-// uncaught copy would bump `received` past `sent` and break (or worse,
-// satisfy early) the termination balance, and deliver particles twice.
+// uncaught copy would bump the receipt count past the announced count
+// and break (or worse, satisfy early) step termination, and deliver
+// particles twice.
 TEST(AsyncFt, DuplicatedMessagesDedupThroughReliableTransport) {
   RunConfig cfg = faulted_config();
   cfg.resilience.plan = FaultPlan::parse("dup:prob=0.3", /*seed=*/29);

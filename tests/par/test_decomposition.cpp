@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "comm/cart.hpp"
 #include "par/decomposition.hpp"
+#include "par/pic_vp.hpp"
 
 namespace {
 
@@ -23,6 +25,34 @@ TEST(Decomposition, BlocksTileTheGrid) {
   std::int64_t total = 0;
   for (int r = 0; r < cart.size(); ++r) total += d.block_of(r).area();
   EXPECT_EQ(total, 100);
+}
+
+// PicVpShared routes particles through per-cell tables; they must name
+// the same VP as the block_owner arithmetic they replace, including grids
+// whose cell count the VP grid does not divide (30 cells over a 4 × 2 or
+// 3 × 3 VP grid), and for points on a cell's lower edge as well as inside.
+TEST(Decomposition, VpRoutingTablesMatchBlockOwner) {
+  const std::pair<std::int64_t, int> shapes[] = {{30, 8}, {30, 9}, {30, 6}, {64, 8},
+                                                 {14, 14}, {16, 1}};
+  for (const auto& [cells, vps] : shapes) {
+    picprk::par::DriverConfig config;
+    config.init.grid = GridSpec(cells, 1.0);
+    config.init.total_particles = 1000;
+    const picprk::par::PicVpShared shared(config, vps);
+    const Cart2D& vcart = shared.vcart;
+    for (std::int64_t cx = 0; cx < cells; ++cx) {
+      for (std::int64_t cy = 0; cy < cells; ++cy) {
+        const int expected =
+            vcart.rank_of(picprk::comm::block_owner(cells, vcart.px(), cx),
+                          picprk::comm::block_owner(cells, vcart.py(), cy));
+        const double x = static_cast<double>(cx), y = static_cast<double>(cy);
+        EXPECT_EQ(shared.owner_vp(x, y), expected)
+            << cells << " cells, " << vps << " VPs, edge of (" << cx << "," << cy << ")";
+        EXPECT_EQ(shared.owner_vp(x + 0.5, y + 0.5), expected)
+            << cells << " cells, " << vps << " VPs, inside (" << cx << "," << cy << ")";
+      }
+    }
+  }
 }
 
 TEST(Decomposition, OwnerLookupMatchesBlocks) {

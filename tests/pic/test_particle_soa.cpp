@@ -1,9 +1,10 @@
 // The SoA particle store: the X-macro single-definition contract
 // (columns, pack/unpack and PUP all derive from PICPRK_PARTICLE_FIELDS),
 // the row-mutation primitives the exchange and tiling layers build on,
-// and the wire-format PUP staging.
+// and the wire-format PUP.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 #include <vector>
@@ -142,6 +143,33 @@ TEST(ParticleSoA, PupRoundTripsThroughTheAosWireFormat) {
 
   ParticleSoA restored;
   vpr::pup_unpack(restored, std::move(packed));
+  ASSERT_EQ(restored.size(), original.size());
+  for (std::size_t i = 0; i < original.size(); ++i) {
+    expect_equal(restored.get(i), original.get(i));
+  }
+}
+
+// pup packs rows straight into the buffer; the bytes must equal the
+// to_vector()-staged form it replaced, record for record, on a store
+// whose size (1031, prime) is no multiple of any block size — also when
+// the state sits after a caller's header and unpacks from an offset.
+TEST(ParticleSoA, PupPacksTheSameBytesAsTheStagedWireVector) {
+  const ParticleSoA original = pic::to_soa(make_particles(1031));
+  std::vector<Particle> wire = original.to_vector();
+  vpr::Pup staged(vpr::Pup::Mode::Pack);
+  staged(wire);
+  const std::vector<std::byte> expected = staged.take_buffer();
+
+  ParticleSoA copy = original;
+  EXPECT_EQ(vpr::pup_pack(copy), expected);
+
+  constexpr std::size_t kHeader = 12;
+  const std::vector<std::byte> framed = vpr::pup_pack(copy, kHeader);
+  ASSERT_EQ(framed.size(), kHeader + expected.size());
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), framed.begin() + kHeader));
+
+  ParticleSoA restored;
+  vpr::pup_unpack(restored, std::span<const std::byte>(framed).subspan(kHeader));
   ASSERT_EQ(restored.size(), original.size());
   for (std::size_t i = 0; i < original.size(); ++i) {
     expect_equal(restored.get(i), original.get(i));
