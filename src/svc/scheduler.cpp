@@ -31,6 +31,13 @@ Scheduler::Scheduler(const std::string& strategy_spec)
   strategy_ = lb::make_strategy(spec_);
 }
 
+std::uint32_t Scheduler::grant(std::uint32_t quantum, double weight,
+                               std::uint32_t remaining) {
+  const auto share = static_cast<std::uint32_t>(std::max<long long>(
+      1, std::llround(static_cast<double>(quantum) * weight)));
+  return std::min(share, remaining);
+}
+
 CyclePlan Scheduler::plan_cycle(const CycleInput& in) const {
   PICPRK_EXPECTS(in.quantum >= 1);
   PICPRK_EXPECTS(in.workers >= 1);
@@ -41,9 +48,7 @@ CyclePlan Scheduler::plan_cycle(const CycleInput& in) const {
   // per cycle as a weight-1 tenant. Every live job gets at least one
   // step (no starvation), and never more than it still needs.
   for (const JobLoad& job : in.jobs) {
-    const auto share = static_cast<std::uint32_t>(std::max<long long>(
-        1, std::llround(static_cast<double>(in.quantum) * job.weight)));
-    plan.steps.push_back(std::min(share, job.remaining));
+    plan.steps.push_back(grant(in.quantum, job.weight, job.remaining));
   }
 
   // Placement: the jobs are the parts. Load = expected compute this

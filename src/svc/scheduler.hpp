@@ -61,6 +61,11 @@ class Scheduler {
   /// Pure decide; see the header comment. Input order is preserved.
   CyclePlan plan_cycle(const CycleInput& in) const;
 
+  /// The fair-share grant of one quantum: max(1, round(quantum × weight))
+  /// steps, clipped to the `remaining` steps the job still needs.
+  static std::uint32_t grant(std::uint32_t quantum, double weight,
+                             std::uint32_t remaining);
+
  private:
   std::string spec_;
   std::unique_ptr<lb::Strategy> strategy_;

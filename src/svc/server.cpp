@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iostream>
 #include <istream>
+#include <numeric>
 #include <ostream>
 
 #include "obs/sinks.hpp"
@@ -52,7 +53,7 @@ obs::TraceLane* Server::lane_of(const Job& job) {
                       /*reserve_events=*/8192);
 }
 
-void Server::run_cycle(const std::vector<Job*>& jobs) {
+void Server::run_cycle(const std::vector<Job*>& jobs, std::ostream& out) {
   CycleInput in;
   in.cycle = cycle_++;
   in.quantum = config_.quantum;
@@ -71,24 +72,41 @@ void Server::run_cycle(const std::vector<Job*>& jobs) {
   placement_log_.push_back("cycle=" + std::to_string(in.cycle) + " " +
                            plan.to_string());
 
-  std::uint64_t granted = 0;
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i]->set_owner(plan.owners[i]);
-    granted += plan.steps[i];
-  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i]->set_owner(plan.owners[i]);
+
+  // A plan that gives every tenant its own worker leaves nobody waiting
+  // for one: each tenant then runs quantum after quantum, each granted
+  // by the fair-share rule and counted as one Job cycle, until its run
+  // ends, and reports from its worker the moment it does.
+  std::vector<int> owners = plan.owners;
+  std::sort(owners.begin(), owners.end());
+  const bool dedicated =
+      std::adjacent_find(owners.begin(), owners.end()) == owners.end();
 
   // One pool task per tenant; the plan's owners are the initial deal.
-  // Each task touches exactly one job, so tasks share nothing.
+  // Each task touches exactly one job, so tasks share nothing (their
+  // reports go through the report mutex).
+  std::vector<std::uint64_t> granted(jobs.size(), 0);
   const ws::PoolStats stats = pool_.run_placed(
       jobs.size(), std::span<const int>(plan.owners),
       [&](std::size_t t, int /*worker*/) {
-        obs::Phase phase(obs::kPhaseStep, nullptr, lane_of(*jobs[t]), nullptr);
-        jobs[t]->advance(plan.steps[t]);
+        Job& job = *jobs[t];
+        std::uint32_t steps = plan.steps[t];
+        for (;;) {
+          {
+            obs::Phase phase(obs::kPhaseStep, nullptr, lane_of(job), nullptr);
+            job.advance(steps);
+          }
+          granted[t] += steps;
+          if (!dedicated || job.state() != JobState::kRunning) break;
+          steps = Scheduler::grant(config_.quantum, job.weight(), job.remaining_steps());
+        }
+        if (dedicated) report(job, out);
       },
       config_.allow_steal);
 
   cycles_counter_->add(1);
-  steps_counter_->add(granted);
+  steps_counter_->add(std::accumulate(granted.begin(), granted.end(), std::uint64_t{0}));
   steals_counter_->add(stats.steals);
 }
 
@@ -135,22 +153,25 @@ void Server::finish_job(Job& job, std::ostream& out) {
   }
 }
 
-void Server::report_finished(std::ostream& out) {
-  for (Job* job : table_.all()) {
-    if (job->state() == JobState::kRunning) continue;
-    if (std::find(reported_.begin(), reported_.end(), job->id()) != reported_.end()) {
-      continue;
-    }
-    reported_.push_back(job->id());
-    finish_job(*job, out);
+void Server::report(Job& job, std::ostream& out) {
+  if (job.state() == JobState::kRunning) return;
+  util::LockGuard lock(report_mutex_);
+  if (std::find(reported_.begin(), reported_.end(), job.id()) != reported_.end()) {
+    return;
   }
+  reported_.push_back(job.id());
+  finish_job(job, out);
+}
+
+void Server::report_finished(std::ostream& out) {
+  for (Job* job : table_.all()) report(*job, out);
 }
 
 void Server::drain(std::ostream& out) {
   for (;;) {
     const std::vector<Job*> jobs = table_.active();
     if (jobs.empty()) break;
-    run_cycle(jobs);
+    run_cycle(jobs, out);
     report_finished(out);  // tenants report the moment they finish
   }
   report_finished(out);  // cancelled-before-any-cycle jobs
@@ -243,6 +264,7 @@ int Server::run_commands(std::istream& in, std::ostream& out) {
     }
   }
   if (!drained) drain(out);  // EOF implies a final drain
+  util::LockGuard lock(report_mutex_);
   return all_ok_ ? 0 : 1;
 }
 

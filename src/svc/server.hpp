@@ -13,9 +13,15 @@
 // separate processes in the viewer) plus an aggregate summary table on
 // drain.
 //
+// Cycles time-slice the pool among more tenants than workers. A cycle
+// whose plan gives every tenant a worker of its own has nobody waiting
+// for a worker, so it runs each tenant quantum after quantum to the end
+// of its run instead of idling the early finishers at every quantum.
+//
 // The control path (submit/cancel/drain/run_commands) is single-client:
 // one thread drives the server. Inside a cycle the pool's workers each
-// advance disjoint jobs; the cycle barrier orders everything else.
+// advance disjoint jobs; the cycle barrier orders everything else, and
+// the report mutex orders the reports of tenants that finish inside one.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +34,7 @@
 #include "obs/registry.hpp"
 #include "svc/job_table.hpp"
 #include "svc/scheduler.hpp"
+#include "util/thread_annotations.hpp"
 #include "ws/pool.hpp"
 
 namespace picprk::svc {
@@ -89,9 +96,11 @@ class Server {
   std::uint32_t cycles() const { return cycle_; }
 
  private:
-  void run_cycle(const std::vector<Job*>& jobs);
+  void run_cycle(const std::vector<Job*>& jobs, std::ostream& out);
   void report_finished(std::ostream& out);
-  void finish_job(Job& job, std::ostream& out);
+  /// Reports `job` once, the first time it is seen no longer running.
+  void report(Job& job, std::ostream& out) PICPRK_EXCLUDES(report_mutex_);
+  void finish_job(Job& job, std::ostream& out) PICPRK_REQUIRES(report_mutex_);
   obs::TraceLane* lane_of(const Job& job);
 
   ServerConfig config_;
@@ -102,9 +111,10 @@ class Server {
   Scheduler scheduler_;
 
   std::vector<std::string> placement_log_;
-  std::vector<int> reported_;  ///< job ids already reported
+  util::Mutex report_mutex_;
+  std::vector<int> reported_ PICPRK_GUARDED_BY(report_mutex_);  ///< job ids already reported
   std::uint32_t cycle_ = 0;
-  bool all_ok_ = true;
+  bool all_ok_ PICPRK_GUARDED_BY(report_mutex_) = true;
   obs::Counter* cycles_counter_ = nullptr;
   obs::Counter* steps_counter_ = nullptr;
   obs::Counter* steals_counter_ = nullptr;

@@ -12,6 +12,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "svc/job_table.hpp"
 #include "svc/server.hpp"
@@ -186,6 +187,67 @@ TEST(ServerTest, FairShareWeightsScaleCycleCounts) {
   const double ratio = static_cast<double>(light->cycles()) /
                        static_cast<double>(heavy->cycles());
   EXPECT_NEAR(ratio, 2.0, 0.2);  // weight ratio, within ±10%
+}
+
+std::size_t count_of(const std::string& text, const std::string& needle) {
+  std::size_t count = 0;
+  for (std::size_t at = text.find(needle); at != std::string::npos;
+       at = text.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(ServerTest, TenantsWithWorkersOfTheirOwnRunWithoutCycleBarriers) {
+  // Three tenants on four workers: the first plan gives each tenant its
+  // own worker, so that one server cycle runs every tenant quantum after
+  // quantum to the end of its run. Each quantum is still one Job cycle
+  // granted by the fair-share rule.
+  Server server(quiet_config());
+  server.submit(parse_job_spec("da:dist=uniform,particles=1500,steps=24"));
+  server.submit(
+      parse_job_spec("db:dist=geometric,particles=1500,steps=40,weight=2"));
+  server.submit(parse_job_spec("dc:dist=sinusoidal,particles=1500,steps=12"));
+  std::ostringstream out;
+  server.drain(out);
+
+  EXPECT_EQ(server.cycles(), 1u);
+  EXPECT_EQ(server.placement_log().size(), 1u);
+  const std::string text = out.str();
+  for (const auto& [name, cycles] :
+       {std::pair<const char*, std::uint32_t>{"da", 3},  // 8 + 8 + 8
+        {"db", 3},                                       // 16 + 16 + 8
+        {"dc", 2}}) {                                    // 8 + 4
+    const Job* job = server.table().find(name);
+    ASSERT_NE(job, nullptr);
+    EXPECT_EQ(job->state(), JobState::kDone) << name << ": " << job->failure();
+    EXPECT_TRUE(job->result().ok) << name;
+    EXPECT_EQ(job->steps_done(), job->spec().run.steps) << name;
+    EXPECT_EQ(job->cycles(), cycles) << name;
+    // Reported from its worker, exactly once.
+    EXPECT_EQ(count_of(text, "RESULT impl=serve job=" + std::string(name) + " "), 1u)
+        << name;
+  }
+}
+
+TEST(ServerTest, OversubscribedPoolKeepsOneBarrierPerCycle) {
+  // Five tenants on two workers: tenants wait for workers, so every
+  // cycle grants each tenant one quantum and ends at the barrier.
+  ServerConfig config = quiet_config();
+  config.workers = 2;
+  Server server(config);
+  for (const char* name : {"o1", "o2", "o3", "o4", "o5"}) {
+    server.submit(parse_job_spec(std::string(name) + ":particles=800,steps=16"));
+  }
+  std::ostringstream out;
+  server.drain(out);
+
+  EXPECT_EQ(server.cycles(), 2u);
+  for (const Job* job : server.table().all()) {
+    EXPECT_EQ(job->state(), JobState::kDone) << job->name();
+    EXPECT_TRUE(job->result().ok) << job->name();
+    EXPECT_EQ(job->cycles(), 2u) << job->name();
+  }
 }
 
 TEST(ServerTest, PerTenantMetricsDocumentsAreDisjoint) {
